@@ -31,8 +31,9 @@ class Classifier {
   /// Predictions for every row of `data`. The base implementation fans the
   /// rows out across `pmiot::par`'s shared pool; row i's result is written
   /// only to slot i, so the output is bitwise identical at any
-  /// `PMIOT_THREADS`. Models with a faster batch kernel (k-NN) override it;
-  /// every override must return exactly what per-row `predict` would.
+  /// `PMIOT_THREADS`. Models with a faster batch kernel (k-NN, and the
+  /// decision tree and random forest through their `TreeArena`) override
+  /// it; every override must return exactly what per-row `predict` would.
   virtual std::vector<int> predict_all(const Dataset& data) const;
 };
 

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <utility>
 
 #include "common/error.h"
+#include "common/parallel.h"
 #include "obs/metrics.h"
 #include "simd/simd.h"
 
@@ -42,6 +44,17 @@ double gini(const std::vector<std::size_t>& counts, std::size_t total) {
 int majority(const std::vector<std::size_t>& counts) {
   return static_cast<int>(std::max_element(counts.begin(), counts.end()) -
                           counts.begin());
+}
+
+/// Split threshold between adjacent distinct sorted values a < b: their
+/// midpoint, or `a` itself when the midpoint falls outside [a, b). That
+/// happens when rounding lands on `b` (a and b one ulp apart, such as
+/// 335.99999999999994 and 336) or when a + b overflows to ±inf. Either way
+/// `x <= threshold` must still send a left and b right, exactly the split
+/// that was scored; a midpoint equal to `b` would send b left as well.
+double split_threshold(double a, double b) {
+  const double mid = 0.5 * (a + b);
+  return mid >= a && mid < b ? mid : a;
 }
 
 /// Reusable per-thread working memory for the presorted builder. Forest
@@ -108,8 +121,7 @@ class PresortedBuilder {
       // single leaf.
       std::vector<std::size_t> counts(k_, 0);
       for (auto r : sample_) ++counts[static_cast<std::size_t>(view_.label(r))];
-      tree_.nodes_.push_back(
-          DecisionTree::Node{-1, 0.0, -1, -1, majority(counts)});
+      tree_.arena_.push_leaf(majority(counts));
       return;
     }
     for (int b = 0; b < 2; ++b) {
@@ -214,17 +226,15 @@ class PresortedBuilder {
     }
   }
 
-  int push_leaf(int depth, int label) {
+  std::int32_t push_leaf(int depth, int label) {
     tree_.depth_ = std::max(tree_.depth_, depth);
-    const int id = static_cast<int>(tree_.nodes_.size());
-    tree_.nodes_.push_back(DecisionTree::Node{-1, 0.0, -1, -1, label});
-    return id;
+    return tree_.arena_.push_leaf(label);
   }
 
   /// Grows the node covering segment [lo, hi) of every feature's order in
   /// buffer `cur`. Mirrors the reference builder statement for statement
   /// where scores are concerned.
-  int build(std::size_t lo, std::size_t hi, int depth, int cur) {
+  std::int32_t build(std::size_t lo, std::size_t hi, int depth, int cur) {
     tree_.depth_ = std::max(tree_.depth_, depth);
     const std::size_t m = hi - lo;
     std::fill(s_.counts.begin(), s_.counts.end(), 0);
@@ -237,8 +247,7 @@ class PresortedBuilder {
     const int node_label = majority(s_.counts);
     const double node_gini = gini(s_.counts, m);
 
-    const int node_id = static_cast<int>(tree_.nodes_.size());
-    tree_.nodes_.push_back(DecisionTree::Node{-1, 0.0, -1, -1, node_label});
+    const std::int32_t node_id = tree_.arena_.push_leaf(node_label);
 
     if (depth >= tree_.options_.max_depth ||
         m < tree_.options_.min_samples || node_gini == 0.0) {
@@ -322,7 +331,7 @@ class PresortedBuilder {
         if (score + 1e-12 < best_score) {
           best_score = score;
           best_feature = static_cast<int>(f);
-          best_threshold = 0.5 * (vf[r] + vf[r + 1]);
+          best_threshold = split_threshold(vf[r], vf[r + 1]);
           filter_rhs =
               static_cast<double>(m) * ((1.0 - best_score) + kFilterSlack);
         }
@@ -379,14 +388,14 @@ class PresortedBuilder {
     const int left_label = left_leaf ? majority(s_.split_left) : 0;
     const int right_label = right_leaf ? majority(s_.split_right) : 0;
 
-    int left = -1;
-    int right = -1;
+    std::int32_t left = -1;
+    std::int32_t right = -1;
     if (left_leaf && right_leaf) {
       left = push_leaf(depth + 1, left_label);
       right = push_leaf(depth + 1, right_label);
     } else {
       partition(lo, hi, n_left, cur, left_leaf, right_leaf);
-      // Children are emitted left-first either way, so nodes_ keeps the
+      // Children are emitted left-first either way, so the arena keeps the
       // reference builder's pre-order layout.
       if (left_leaf) {
         left = push_leaf(depth + 1, left_label);
@@ -400,11 +409,8 @@ class PresortedBuilder {
       }
     }
 
-    auto& node = tree_.nodes_[static_cast<std::size_t>(node_id)];
-    node.feature = best_feature;
-    node.threshold = best_threshold;
-    node.left = left;
-    node.right = right;
+    tree_.arena_.set_split(node_id, best_feature, best_threshold, left,
+                           right);
     return node_id;
   }
 
@@ -473,6 +479,170 @@ class PresortedBuilder {
   TreeScratch& s_;
 };
 
+// --- TreeArena ---------------------------------------------------------------
+
+namespace {
+/// Rows pushed down a tree together. Each row's walk is its own dependency
+/// chain (node load, feature load, compare), so a block keeps that many
+/// chains in flight instead of one.
+constexpr std::size_t kBlockRows = 16;
+/// Rows per `predict_all` shard. A chunk visits every tree once, so a
+/// tree's nodes stay hot across all of the chunk's blocks.
+constexpr std::size_t kChunkRows = 64;
+constexpr auto kMaxNodes =
+    static_cast<std::size_t>(std::numeric_limits<std::int32_t>::max());
+
+/// Pushes rows x[0..N) from `root` down together, leaving each row's leaf
+/// in id[0..N). Rows already on a leaf step onto themselves, so the block
+/// keeps stepping until its last row lands. Both steps send x <= threshold
+/// to child[0] and everything else, NaN included, to child[1]. A block
+/// indexes the child with the comparison: its rows take different paths,
+/// so branches would mispredict, while the independent rows keep the loads
+/// busy. A lone row instead branches, so the predicted next node is already
+/// loading while the comparison resolves; with indexing, per-row `predict`
+/// (the gateway's path) fell behind the old per-tree walk.
+template <std::size_t N>
+void walk(const TreeArena::Node* nodes, std::int32_t root,
+          const double* const* x, std::int32_t* id) {
+  std::fill_n(id, N, root);
+  for (bool live = true; live;) {
+    live = false;
+    for (std::size_t b = 0; b < N; ++b) {
+      const TreeArena::Node& node = nodes[id[b]];
+      const bool left = x[b][node.feature] <= node.threshold;
+      if constexpr (N == 1) {
+        id[b] = left ? node.child[0] : node.child[1];
+      } else {
+        id[b] = node.child[!left];
+      }
+      live |= nodes[id[b]].label < 0;
+    }
+  }
+}
+}  // namespace
+
+void TreeArena::clear() noexcept {
+  nodes_.clear();
+  roots_.clear();
+  min_width_ = 0;
+  num_classes_ = 0;
+}
+
+void TreeArena::begin_tree() {
+  PMIOT_CHECK(nodes_.size() < kMaxNodes, "tree arena is full");
+  roots_.push_back(static_cast<std::int32_t>(nodes_.size()));
+}
+
+void TreeArena::reserve(std::size_t nodes, std::size_t trees) {
+  nodes_.reserve(nodes);
+  roots_.reserve(trees);
+}
+
+std::int32_t TreeArena::push_leaf(int label) {
+  PMIOT_ASSERT(!roots_.empty() && label >= 0, "leaf outside a tree");
+  PMIOT_CHECK(nodes_.size() < kMaxNodes, "tree arena is full");
+  const auto id = static_cast<std::int32_t>(nodes_.size());
+  nodes_.push_back(Node{0.0, {id, id}, 0, label});
+  num_classes_ = std::max(num_classes_, static_cast<std::size_t>(label) + 1);
+  return id;
+}
+
+void TreeArena::set_split(std::int32_t id, int feature, double threshold,
+                          std::int32_t left, std::int32_t right) {
+  // Children always come after their parent, so every walk terminates.
+  PMIOT_ASSERT(feature >= 0 && id >= 0 && id < left && id < right &&
+                   static_cast<std::size_t>(std::max(left, right)) <
+                       nodes_.size(),
+               "malformed split");
+  Node& node = nodes_[static_cast<std::size_t>(id)];
+  node.threshold = threshold;
+  node.child[0] = left;
+  node.child[1] = right;
+  node.feature = feature;
+  node.label = -1;
+  min_width_ = std::max(min_width_, static_cast<std::size_t>(feature) + 1);
+}
+
+void TreeArena::append(const TreeArena& other) {
+  PMIOT_CHECK(other.nodes_.size() <= kMaxNodes - nodes_.size(),
+              "tree arena is full");
+  const auto base = static_cast<std::int32_t>(nodes_.size());
+  for (Node node : other.nodes_) {
+    node.child[0] += base;
+    node.child[1] += base;
+    nodes_.push_back(node);
+  }
+  for (const auto root : other.roots_) roots_.push_back(root + base);
+  min_width_ = std::max(min_width_, other.min_width_);
+  num_classes_ = std::max(num_classes_, other.num_classes_);
+}
+
+void TreeArena::vote(const double* const* x, std::size_t rows,
+                     std::uint32_t* votes) const {
+  const Node* nodes = nodes_.data();
+  const std::size_t k = num_classes_;
+  std::int32_t id[kBlockRows] = {};
+  for (const std::int32_t root : roots_) {
+    if (nodes[root].label >= 0) {
+      // A one-leaf tree reads no feature (the row may even be empty).
+      const auto label = static_cast<std::size_t>(nodes[root].label);
+      for (std::size_t r = 0; r < rows; ++r) ++votes[r * k + label];
+      continue;
+    }
+    std::size_t lo = 0;
+    for (; lo + kBlockRows <= rows; lo += kBlockRows) {
+      walk<kBlockRows>(nodes, root, x + lo, id);
+      for (std::size_t b = 0; b < kBlockRows; ++b) {
+        ++votes[(lo + b) * k + static_cast<std::size_t>(nodes[id[b]].label)];
+      }
+    }
+    // The remainder (and `predict`'s single row) walks one row at a time.
+    for (; lo < rows; ++lo) {
+      walk<1>(nodes, root, x + lo, id);
+      ++votes[lo * k + static_cast<std::size_t>(nodes[id[0]].label)];
+    }
+  }
+}
+
+int TreeArena::majority(const std::uint32_t* votes) const {
+  return static_cast<int>(std::max_element(votes, votes + num_classes_) -
+                          votes);
+}
+
+int TreeArena::predict(std::span<const double> row) const {
+  PMIOT_CHECK(!roots_.empty(), "classifier not fitted");
+  PMIOT_CHECK(row.size() >= min_width_, "row width mismatch");
+  std::vector<std::uint32_t> votes(num_classes_, 0);
+  const double* x = row.data();
+  vote(&x, 1, votes.data());
+  return majority(votes.data());
+}
+
+std::vector<int> TreeArena::predict_all(const Dataset& data) const {
+  const std::size_t n = data.size();
+  if (n == 0) return {};
+  PMIOT_CHECK(!roots_.empty(), "classifier not fitted");
+  for (const auto& row : data.rows) {
+    PMIOT_CHECK(row.size() >= min_width_, "row width mismatch");
+  }
+  std::vector<int> out(n);
+  std::vector<std::uint32_t> votes(n * num_classes_, 0);
+  par::parallel_for(0, (n + kChunkRows - 1) / kChunkRows, [&](std::size_t c) {
+    const std::size_t lo = c * kChunkRows;
+    const std::size_t rows = std::min(kChunkRows, n - lo);
+    const double* x[kChunkRows] = {};
+    for (std::size_t r = 0; r < rows; ++r) x[r] = data.rows[lo + r].data();
+    std::uint32_t* chunk_votes = votes.data() + lo * num_classes_;
+    vote(x, rows, chunk_votes);
+    for (std::size_t r = 0; r < rows; ++r) {
+      out[lo + r] = majority(chunk_votes + r * num_classes_);
+    }
+  });
+  return out;
+}
+
+// --- DecisionTree ------------------------------------------------------------
+
 DecisionTree::DecisionTree(TreeOptions options, std::uint64_t seed)
     : options_(options), rng_(seed) {
   PMIOT_CHECK(options.max_depth >= 1, "max_depth must be at least 1");
@@ -483,7 +653,8 @@ void DecisionTree::fit(const Dataset& data) {
   data.validate();
   PMIOT_CHECK(!data.rows.empty(), "cannot fit on empty dataset");
   if (options_.split_algorithm == SplitAlgorithm::kPerNodeSort) {
-    nodes_.clear();
+    arena_.clear();
+    arena_.begin_tree();
     depth_ = 0;
     std::vector<std::size_t> indices(data.size());
     std::iota(indices.begin(), indices.end(), 0);
@@ -503,7 +674,8 @@ void DecisionTree::fit_view(const DatasetView& view,
   for (auto r : sample) {
     PMIOT_CHECK(r < view.rows(), "sample row id out of range");
   }
-  nodes_.clear();
+  arena_.clear();
+  arena_.begin_tree();
   depth_ = 0;
   if (options_.split_algorithm == SplitAlgorithm::kPerNodeSort) {
     // Reference path: materialize the sample (the seed's bootstrap deep
@@ -537,8 +709,7 @@ int DecisionTree::build(const Dataset& data, std::vector<std::size_t>& indices,
   const int node_label = majority(counts);
   const double node_gini = gini(counts, indices.size());
 
-  const int node_id = static_cast<int>(nodes_.size());
-  nodes_.push_back(Node{-1, 0.0, -1, -1, node_label});
+  const std::int32_t node_id = arena_.push_leaf(node_label);
 
   if (depth >= options_.max_depth || indices.size() < options_.min_samples ||
       node_gini == 0.0) {
@@ -581,7 +752,7 @@ int DecisionTree::build(const Dataset& data, std::vector<std::size_t>& indices,
       if (score + 1e-12 < best_score) {
         best_score = score;
         best_feature = static_cast<int>(f);
-        best_threshold = 0.5 * (x + x_next);
+        best_threshold = split_threshold(x, x_next);
       }
     }
   }
@@ -598,26 +769,18 @@ int DecisionTree::build(const Dataset& data, std::vector<std::size_t>& indices,
   PMIOT_ASSERT(!left_idx.empty() && !right_idx.empty(),
                "degenerate split selected");
 
-  const int left = build(data, left_idx, depth + 1);
-  const int right = build(data, right_idx, depth + 1);
-  nodes_[static_cast<std::size_t>(node_id)].feature = best_feature;
-  nodes_[static_cast<std::size_t>(node_id)].threshold = best_threshold;
-  nodes_[static_cast<std::size_t>(node_id)].left = left;
-  nodes_[static_cast<std::size_t>(node_id)].right = right;
+  const std::int32_t left = build(data, left_idx, depth + 1);
+  const std::int32_t right = build(data, right_idx, depth + 1);
+  arena_.set_split(node_id, best_feature, best_threshold, left, right);
   return node_id;
 }
 
 int DecisionTree::predict(std::span<const double> row) const {
-  PMIOT_CHECK(!nodes_.empty(), "classifier not fitted");
-  int id = 0;
-  while (nodes_[static_cast<std::size_t>(id)].feature >= 0) {
-    const auto& n = nodes_[static_cast<std::size_t>(id)];
-    PMIOT_CHECK(static_cast<std::size_t>(n.feature) < row.size(),
-                "row width mismatch");
-    id = row[static_cast<std::size_t>(n.feature)] <= n.threshold ? n.left
-                                                                 : n.right;
-  }
-  return nodes_[static_cast<std::size_t>(id)].label;
+  return arena_.predict(row);
+}
+
+std::vector<int> DecisionTree::predict_all(const Dataset& data) const {
+  return arena_.predict_all(data);
 }
 
 }  // namespace pmiot::ml

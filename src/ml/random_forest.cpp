@@ -21,8 +21,7 @@ void RandomForest::fit(const Dataset& data) {
   obs::ScopedTimer span(fit_timer);
   data.validate();
   PMIOT_CHECK(!data.rows.empty(), "cannot fit on empty dataset");
-  num_classes_ = data.num_classes();
-  trees_.clear();
+  arena_.clear();
 
   TreeOptions tree_options = options_.tree;
   if (tree_options.max_features == 0) {
@@ -52,22 +51,30 @@ void RandomForest::fit(const Dataset& data) {
   DatasetView view(data);
   view.ensure_sort_index();
 
-  trees_.assign(num_trees, DecisionTree(tree_options, 0));
+  std::vector<DecisionTree> trees(num_trees, DecisionTree(tree_options, 0));
   par::parallel_for(0, num_trees, [&](std::size_t t) {
     DecisionTree tree(tree_options, seeds[t]);
     tree.fit_view(view, samples[t]);
-    trees_[t] = std::move(tree);
+    trees[t] = std::move(tree);
   });
+
+  // Concatenate the trees into the forest's arena in slot order, releasing
+  // each tree's own nodes as soon as they are copied.
+  std::size_t total_nodes = 0;
+  for (const auto& tree : trees) total_nodes += tree.node_count();
+  arena_.reserve(total_nodes, num_trees);
+  for (auto& tree : trees) {
+    arena_.append(tree.arena());
+    tree = DecisionTree(tree_options, 0);
+  }
 }
 
 int RandomForest::predict(std::span<const double> row) const {
-  PMIOT_CHECK(!trees_.empty(), "classifier not fitted");
-  std::vector<int> votes(static_cast<std::size_t>(num_classes_), 0);
-  for (const auto& tree : trees_) {
-    ++votes[static_cast<std::size_t>(tree.predict(row))];
-  }
-  return static_cast<int>(std::max_element(votes.begin(), votes.end()) -
-                          votes.begin());
+  return arena_.predict(row);
+}
+
+std::vector<int> RandomForest::predict_all(const Dataset& data) const {
+  return arena_.predict_all(data);
 }
 
 std::string RandomForest::name() const {

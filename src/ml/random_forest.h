@@ -22,7 +22,9 @@ struct ForestOptions {
 /// over `pmiot::par`'s shared pool against one shared columnar
 /// `DatasetView` (bootstrap = index vector, not a row copy), each writing
 /// only slot t — so the fitted forest is bitwise identical at any
-/// `PMIOT_THREADS`, and bitwise identical to the old serial fit.
+/// `PMIOT_THREADS`, and bitwise identical to the old serial fit. The fitted
+/// trees are then concatenated, in slot order, into the forest's one
+/// `TreeArena`; no per-tree node storage outlives `fit`.
 
 class RandomForest final : public Classifier {
  public:
@@ -30,15 +32,16 @@ class RandomForest final : public Classifier {
 
   void fit(const Dataset& data) override;
   int predict(std::span<const double> row) const override;
+  /// The arena's row-blocked, tree-major kernel; equal to per-row `predict`.
+  std::vector<int> predict_all(const Dataset& data) const override;
   std::string name() const override;
 
-  std::size_t tree_count() const noexcept { return trees_.size(); }
+  std::size_t tree_count() const noexcept { return arena_.tree_count(); }
 
  private:
   ForestOptions options_;
   Rng rng_;
-  std::vector<DecisionTree> trees_;
-  int num_classes_ = 0;
+  TreeArena arena_;  ///< every fitted tree, in slot order
 };
 
 }  // namespace pmiot::ml

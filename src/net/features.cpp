@@ -156,7 +156,22 @@ std::vector<WindowRow> windowed_features(std::span<const Packet> packets,
               "need at least one full window");
   WindowAccumulator accumulator(device_ip, window_s, keep_idle_windows,
                                 router_ip);
-  for (const auto& p : packets) accumulator.add(p);
+  // Packets at or past the end of the last full window would only open
+  // windows that `finish` discards, and a huge timestamp would make the
+  // accumulator close every window up to it. They are validated like `add`
+  // would (finite, in order) but not fed.
+  const double horizon =
+      static_cast<double>(full_window_count(duration_s, window_s)) * window_s;
+  std::size_t i = 0;
+  for (; i < packets.size() && packets[i].timestamp_s < horizon; ++i) {
+    accumulator.add(packets[i]);
+  }
+  for (; i < packets.size(); ++i) {
+    PMIOT_CHECK(std::isfinite(packets[i].timestamp_s),
+                "packet timestamps must be finite");
+    PMIOT_CHECK(i == 0 || packets[i].timestamp_s >= packets[i - 1].timestamp_s,
+                "packets must arrive in timestamp order (use sort_by_time)");
+  }
   return accumulator.finish(duration_s);
 }
 

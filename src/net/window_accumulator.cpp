@@ -28,6 +28,9 @@ obs::Counter& idle_windows_dropped_counter() {
   return c;
 }
 
+// Window counts stay below 2^52 so window numbers are exact in doubles.
+constexpr double kMaxWindows = 4503599627370496.0;
+
 // Same distinct-value tracker as extract_window_features uses.
 template <typename T>
 void insert_unique(std::vector<T>& values, T value) {
@@ -52,12 +55,34 @@ WindowAccumulator::WindowAccumulator(std::uint32_t device_ip, double window_s,
   PMIOT_CHECK(window_s > 0.0, "window must be positive");
 }
 
+std::size_t full_window_count(double duration_s, double window_s) {
+  PMIOT_CHECK(window_s > 0.0 && std::isfinite(window_s),
+              "window must be positive and finite");
+  PMIOT_CHECK(std::isfinite(duration_s), "duration must be finite");
+  const double estimate = std::floor(duration_s / window_s);
+  PMIOT_CHECK(estimate < kMaxWindows, "too many windows in the duration");
+  if (estimate < 0.0) return 0;
+  // The quotient only seeds the count; it is settled with the same products
+  // the accumulator uses for window ends, so window k is full exactly when
+  // (k + 1) * window_s <= duration_s.
+  auto k = static_cast<std::size_t>(estimate);
+  while (static_cast<double>(k + 1) * window_s <= duration_s) ++k;
+  while (k > 0 && static_cast<double>(k) * window_s > duration_s) --k;
+  return k;
+}
+
 void WindowAccumulator::add(const Packet& p) {
   PMIOT_CHECK(p.timestamp_s >= last_timestamp_,
               "packets must arrive in timestamp order (use sort_by_time)");
+  if (p.timestamp_s >= window_end_) {
+    // NaN and -inf already failed the order check (timestamps start at 0),
+    // so only +inf is left to reject, and only past the open window.
+    PMIOT_CHECK(std::isfinite(p.timestamp_s),
+                "packet timestamps must be finite");
+    while (p.timestamp_s >= window_end_) close_window();
+  }
   last_timestamp_ = p.timestamp_s;
   if (p.timestamp_s < 0.0) return;
-  while (p.timestamp_s >= window_end_) close_window();
 
   const bool up = p.src_ip == device_ip_;
   const bool down = p.dst_ip == device_ip_;
@@ -146,12 +171,7 @@ void WindowAccumulator::close_window() {
 
 std::vector<WindowRow> WindowAccumulator::finish(double duration_s) {
   PMIOT_CHECK(duration_s >= window_s_, "need at least one full window");
-  // Count full windows the same way the per-window loop does: window k is
-  // emitted iff (k+1)*window_s <= duration_s.
-  std::size_t full_windows = 0;
-  while (static_cast<double>(full_windows + 1) * window_s_ <= duration_s) {
-    ++full_windows;
-  }
+  const std::size_t full_windows = full_window_count(duration_s, window_s_);
   while (current_ < full_windows) close_window();
   // Drop windows opened by trailing packets past duration_s.
   while (!rows_.empty() && rows_.back().window_index >= full_windows) {

@@ -24,6 +24,13 @@
 
 namespace pmiot::net {
 
+/// Number of full windows in [0, duration_s]: window k is full when
+/// (k + 1) * window_s <= duration_s, computed with the same products the
+/// accumulator uses for window ends. Throws `InvalidArgument` for a
+/// non-finite duration, a non-positive or non-finite window, or 2^52 or
+/// more windows (past which window numbers are not exact in doubles).
+std::size_t full_window_count(double duration_s, double window_s);
+
 /// Streaming one-device feature extractor over consecutive windows of
 /// `window_s` seconds, aligned at t = 0. Feed packets in non-decreasing
 /// timestamp order via `add` (the whole capture is fine — other devices'
@@ -39,9 +46,14 @@ class WindowAccumulator {
                     bool keep_idle_windows = false,
                     std::uint32_t router_ip = kDefaultRouterIp);
 
-  /// Ingests one packet. Timestamps must be non-decreasing; packets with a
-  /// negative timestamp or not involving the device are ignored (after
-  /// window bookkeeping).
+  /// Ingests one packet. Timestamps must be finite and non-decreasing;
+  /// anything else (NaN, ±inf, a step backwards) throws `InvalidArgument`.
+  /// Packets with a negative timestamp or not involving the device are
+  /// ignored (after window bookkeeping). `add` closes the windows before
+  /// the packet's one by one, so its cost grows with the gap a timestamp
+  /// jumps: a caller that knows its duration (as `windowed_features` does)
+  /// should not feed packets at or past the last full window, whose
+  /// windows `finish` discards anyway.
   void add(const Packet& packet);
 
   /// Closes every window whose end lies within [0, duration_s] and returns

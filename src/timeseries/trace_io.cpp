@@ -255,9 +255,13 @@ BinaryLayout parse_binary_header(const unsigned char* data, std::size_t size) {
     const std::uint64_t bytes = le_u64(entry + kColumnNameBytes + 8);
     PMIOT_CHECK(offset % alignof(double) == 0,
                 "misaligned column block in pmiot binary trace");
-    PMIOT_CHECK(bytes == num_rows * sizeof(double),
+    // Division and subtraction forms: `num_rows * 8` and `offset + bytes`
+    // can wrap in u64 for a hostile header, which would let a huge row count
+    // past both checks.
+    PMIOT_CHECK(bytes % sizeof(double) == 0 &&
+                    bytes / sizeof(double) == num_rows,
                 "column length disagrees with row count in pmiot binary trace");
-    PMIOT_CHECK(offset >= dir_end && offset + bytes <= size,
+    PMIOT_CHECK(offset >= dir_end && offset <= size && bytes <= size - offset,
                 "truncated pmiot binary trace column block");
     out.num_rows = static_cast<std::size_t>(num_rows);
     out.value_offset = static_cast<std::size_t>(offset);

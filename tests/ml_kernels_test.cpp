@@ -1,12 +1,20 @@
 // Tests for the columnar ML training kernels: randomized presorted-vs-naive
 // tree equivalence (including degenerate corners), forest determinism across
-// pool widths, batch-vs-per-row prediction identity, kNN tie-breaking with
-// duplicated training points, and the kmeans 1-D fast path.
+// pool widths, batch-vs-per-row prediction identity (including the forest
+// arena's blocked kernel over NaN/±inf rows and every remainder), split
+// thresholds between adjacent doubles, kNN tie-breaking with duplicated
+// training points, and the kmeans 1-D fast path.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "common/error.h"
 #include "common/parallel.h"
 #include "ml/dataset.h"
 #include "ml/decision_tree.h"
@@ -202,6 +210,213 @@ TEST(Classifier, PredictAllMatchesPerRowAtEveryPoolWidth) {
       par::ScopedPoolOverride guard(wide);
       EXPECT_EQ(model->predict_all(probe), expected);
     }
+  }
+}
+
+// --- Forest inference kernel -------------------------------------------------
+//
+// `predict_all` pushes blocks of 16 rows down each tree and shards the rows
+// in chunks of 64; per-row `predict` is the reference it must equal.
+
+/// Plants NaN, +inf and -inf in every third row, so the kernel's
+/// `!(x <= threshold)` step meets values that compare false or sit beyond
+/// every threshold.
+void plant_non_finite(Dataset& data, Rng& rng) {
+  const double specials[] = {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity()};
+  const auto width = static_cast<std::int64_t>(data.width());
+  for (std::size_t i = 0; i < data.size(); i += 3) {
+    const auto f = static_cast<std::size_t>(rng.uniform_int(0, width - 1));
+    data.rows[i][f] = specials[(i / 3) % 3];
+  }
+}
+
+Dataset head(const Dataset& data, std::size_t n) {
+  Dataset out;
+  for (std::size_t i = 0; i < n; ++i) out.append(data.rows[i], data.labels[i]);
+  return out;
+}
+
+TEST(Ml, ForestPredictAllMatchesPerRowAcrossShapes) {
+  struct Shape {
+    std::size_t width;
+    int classes;
+    int trees;
+    int max_depth;
+  };
+  // Widths 1..9, 2..20 classes, 1..100 trees, stumps to deep trees.
+  const Shape shapes[] = {{1, 2, 1, 1},  {2, 3, 5, 3},   {3, 2, 100, 12},
+                          {6, 5, 17, 8}, {9, 12, 9, 20}, {4, 20, 3, 6}};
+  par::ThreadPool serial(1);
+  par::ThreadPool wide(4);
+  Rng rng(1111);
+  std::uint64_t seed = 1;
+  for (const Shape& shape : shapes) {
+    const Dataset train =
+        random_clusters(240, shape.width, shape.classes, rng);
+    Dataset probe = random_clusters(2 * 64 + 2, shape.width, shape.classes,
+                                    rng);
+    plant_non_finite(probe, rng);
+    RandomForest forest(
+        ForestOptions{.num_trees = shape.trees,
+                      .tree = TreeOptions{.max_depth = shape.max_depth}},
+        seed++);
+    forest.fit(train);
+    const auto expected = per_row_predictions(forest, probe);
+    // Every row count from 0 to 2 chunks + 1, so every block and chunk
+    // remainder is hit.
+    for (std::size_t n = 0; n < probe.size(); ++n) {
+      const Dataset rows = head(probe, n);
+      const std::vector<int> want(
+          expected.begin(), expected.begin() + static_cast<std::ptrdiff_t>(n));
+      for (par::ThreadPool* pool : {&serial, &wide}) {
+        par::ScopedPoolOverride guard(*pool);
+        ASSERT_EQ(forest.predict_all(rows), want)
+            << "width " << shape.width << ", " << shape.trees
+            << " trees, " << n << " rows, pool " << pool->size();
+      }
+    }
+  }
+}
+
+TEST(Ml, CopiedAndMovedForestsPredictLikeTheOriginal) {
+  Rng rng(1212);
+  const Dataset train = random_clusters(300, 5, 4, rng);
+  const Dataset other = random_clusters(200, 5, 3, rng);
+  Dataset probe = random_clusters(150, 5, 4, rng);
+  plant_non_finite(probe, rng);
+
+  RandomForest forest(ForestOptions{.num_trees = 20, .tree = TreeOptions{}},
+                      5);
+  forest.fit(train);
+  const auto expected = forest.predict_all(probe);
+  EXPECT_EQ(per_row_predictions(forest, probe), expected);
+
+  const RandomForest copy = forest;
+  EXPECT_EQ(copy.predict_all(probe), expected);
+  EXPECT_EQ(per_row_predictions(copy, probe), expected);
+  RandomForest moved = std::move(forest);
+  EXPECT_EQ(moved.predict_all(probe), expected);
+  EXPECT_EQ(per_row_predictions(moved, probe), expected);
+
+  // Assigning over a forest fitted on other data replaces its arena whole.
+  RandomForest assigned(ForestOptions{.num_trees = 3, .tree = TreeOptions{}},
+                        9);
+  assigned.fit(other);
+  assigned = copy;
+  EXPECT_EQ(assigned.predict_all(probe), expected);
+  EXPECT_EQ(assigned.tree_count(), 20u);
+
+  // Refitting replaces the old trees (the forest's RNG carries on, so the
+  // reference is a forest fitted the same two times).
+  moved.fit(other);
+  RandomForest twice(ForestOptions{.num_trees = 20, .tree = TreeOptions{}}, 5);
+  twice.fit(train);
+  twice.fit(other);
+  EXPECT_EQ(moved.tree_count(), 20u);
+  EXPECT_EQ(moved.predict_all(probe), per_row_predictions(twice, probe));
+}
+
+TEST(Ml, TooNarrowRowsAreRejected) {
+  // Only the last feature carries the class, so every fitted tree splits
+  // on it and needs rows at least three wide.
+  Rng rng(1313);
+  Dataset train;
+  for (int i = 0; i < 200; ++i) {
+    const double x = rng.uniform(-1.0, 1.0);
+    train.append({rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0), x},
+                 x > 0.0 ? 1 : 0);
+  }
+  DecisionTree tree(TreeOptions{}, 3);
+  tree.fit(train);
+  RandomForest forest(ForestOptions{.num_trees = 8, .tree = TreeOptions{}},
+                      3);
+  forest.fit(train);
+
+  for (const std::size_t width : {std::size_t{0}, std::size_t{2}}) {
+    const std::vector<double> narrow(width, 0.5);
+    Dataset rows;
+    rows.append(narrow, 0);
+    for (const Classifier* model : {static_cast<const Classifier*>(&tree),
+                                    static_cast<const Classifier*>(&forest)}) {
+      for (const bool batch : {false, true}) {
+        try {
+          if (batch) {
+            model->predict_all(rows);
+          } else {
+            model->predict(narrow);
+          }
+          ADD_FAILURE() << model->name() << " accepted a row of width "
+                        << width;
+        } catch (const InvalidArgument& e) {
+          EXPECT_NE(std::string(e.what()).find("row width mismatch"),
+                    std::string::npos)
+              << e.what();
+        }
+      }
+    }
+  }
+}
+
+TEST(Ml, NonFiniteFeaturesFollowTheComparison) {
+  // One split at 0.5: `x <= 0.5` goes left (class 0), anything else right.
+  // NaN compares false, so it goes right, in both inference paths.
+  Dataset train;
+  for (int i = 0; i < 4; ++i) {
+    train.append({0.0}, 0);
+    train.append({1.0}, 1);
+  }
+  DecisionTree tree(TreeOptions{}, 1);
+  tree.fit(train);
+  RandomForest forest(ForestOptions{.num_trees = 3, .tree = TreeOptions{}},
+                      1);
+  forest.fit(train);
+  Dataset probe;
+  probe.append({std::numeric_limits<double>::quiet_NaN()}, 0);
+  probe.append({std::numeric_limits<double>::infinity()}, 0);
+  probe.append({-std::numeric_limits<double>::infinity()}, 0);
+  const std::vector<int> expected{1, 1, 0};
+  for (const Classifier* model : {static_cast<const Classifier*>(&tree),
+                                  static_cast<const Classifier*>(&forest)}) {
+    EXPECT_EQ(model->predict_all(probe), expected) << model->name();
+    EXPECT_EQ(per_row_predictions(*model, probe), expected) << model->name();
+  }
+}
+
+// --- Split thresholds --------------------------------------------------------
+
+/// Two values one ulp apart (their midpoint rounds onto the upper one) or
+/// so large that their sum overflows: the split must still separate them,
+/// in both builders, instead of sending every sample left.
+TEST(Ml, SplitThresholdSeparatesAdjacentAndHugeValues) {
+  const double max = std::numeric_limits<double>::max();
+  const std::pair<double, double> pairs[] = {
+      {std::nextafter(336.0, 0.0), 336.0},
+      {std::nextafter(1.0, 0.0), 1.0},
+      {0.0, std::numeric_limits<double>::denorm_min()},
+      {max / 2 * 1.5, max},
+      {-max, -max / 2 * 1.5},
+      {-std::numeric_limits<double>::infinity(), 0.0},
+      {0.0, std::numeric_limits<double>::infinity()},
+  };
+  for (const auto& [lo, hi] : pairs) {
+    Dataset data;
+    for (int i = 0; i < 3; ++i) {
+      data.append({lo}, 0);
+      data.append({hi}, 1);
+    }
+    for (const auto algorithm :
+         {SplitAlgorithm::kPresorted, SplitAlgorithm::kPerNodeSort}) {
+      DecisionTree tree(TreeOptions{.split_algorithm = algorithm}, 1);
+      ASSERT_NO_THROW(tree.fit(data)) << lo << " | " << hi;
+      EXPECT_EQ(tree.node_count(), 3u) << lo << " | " << hi;
+      EXPECT_EQ(tree.predict(std::vector<double>{lo}), 0) << lo;
+      EXPECT_EQ(tree.predict(std::vector<double>{hi}), 1) << hi;
+    }
+    RandomForest forest(ForestOptions{.num_trees = 5, .tree = TreeOptions{}},
+                        2);
+    ASSERT_NO_THROW(forest.fit(data)) << lo << " | " << hi;
   }
 }
 

@@ -275,6 +275,17 @@ TEST(Arena, BitwiseIdenticalAcrossPoolWidths) {
   }
 }
 
+TEST(Arena, DefaultGridCompletesAtSeed2020) {
+  // One of this seed's forest attackers meets adjacent-double features; the
+  // grid used to abort with "degenerate split selected".
+  ArenaOptions options;
+  options.seed = 2020;
+  ArenaResult result;
+  ASSERT_NO_THROW(result = run_arena(options));
+  EXPECT_EQ(result.cells.size(),
+            options.defenses.size() * options.intensities.size());
+}
+
 TEST(Arena, CellsCarryTheKnobReadout) {
   const auto result = run_arena(tiny_arena());
   for (const auto& cell : result.cells) {

@@ -2,6 +2,7 @@
 // features, fingerprinting, anomaly detection, and the smart gateway.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 
 #include "common/error.h"
@@ -485,6 +486,81 @@ TEST(WindowAccumulator, RejectsOutOfOrderPackets) {
                InvalidArgument);
 }
 
+TEST(WindowAccumulator, RejectsNonFiniteTimestamps) {
+  const auto dev = make_ip(10, 0, 0, 10);
+  const auto cloud = make_ip(52, 20, 0, 1);
+  for (const double t : {std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity(),
+                         std::numeric_limits<double>::quiet_NaN()}) {
+    WindowAccumulator acc(dev, 600.0);
+    acc.add(Packet{100.0, dev, cloud, 1, 443, Protocol::kTcp, 100});
+    EXPECT_THROW(acc.add(Packet{t, dev, cloud, 1, 443, Protocol::kTcp, 100}),
+                 InvalidArgument)
+        << t;
+  }
+}
+
+TEST(WindowAccumulator, FullWindowCountMatchesWindowEnds) {
+  EXPECT_EQ(full_window_count(2400.0, 600.0), 4u);
+  EXPECT_EQ(full_window_count(2399.0, 600.0), 3u);
+  EXPECT_EQ(full_window_count(600.0, 600.0), 1u);
+  EXPECT_EQ(full_window_count(599.0, 600.0), 0u);
+  // Settled with the accumulator's own products: 3 * 0.1 rounds above 0.3,
+  // so only two 0.1 s windows fit in 0.3 s.
+  EXPECT_EQ(full_window_count(0.3, 0.1), 2u);
+  EXPECT_THROW(full_window_count(std::numeric_limits<double>::infinity(), 1.0),
+               InvalidArgument);
+  EXPECT_THROW(full_window_count(1e300, 1.0), InvalidArgument);
+  EXPECT_THROW(full_window_count(10.0, 0.0), InvalidArgument);
+}
+
+// A capture whose tail lies at or past the last full window, even at +inf or
+// 1e300, must neither hang nor change the rows of the full windows; NaN and
+// ±inf are rejected wherever they appear, and order is still enforced.
+TEST(Features, WindowedStopsAtTheLastFullWindow) {
+  const auto dev = make_ip(10, 0, 0, 10);
+  const auto cloud = make_ip(52, 20, 0, 1);
+  const Packet first{10.0, dev, cloud, 1, 443, Protocol::kTcp, 100};
+  const auto expected = windowed_features(std::vector<Packet>{first}, dev,
+                                          1200.0, 600.0);
+  ASSERT_EQ(expected.size(), 1u);
+
+  for (const double t : {1200.0, 1500.0, 1e300}) {
+    const std::vector<Packet> packets{
+        first, Packet{t, dev, cloud, 1, 443, Protocol::kTcp, 100}};
+    const auto rows = windowed_features(packets, dev, 1200.0, 600.0);
+    ASSERT_EQ(rows.size(), 1u) << t;
+    EXPECT_EQ(rows[0].window_index, 0u);
+    EXPECT_EQ(rows[0].features, expected[0].features);
+  }
+
+  for (const double t : {std::numeric_limits<double>::infinity(),
+                         std::numeric_limits<double>::quiet_NaN()}) {
+    const std::vector<Packet> packets{
+        first, Packet{t, dev, cloud, 1, 443, Protocol::kTcp, 100}};
+    EXPECT_THROW(windowed_features(packets, dev, 1200.0, 600.0),
+                 InvalidArgument)
+        << t;
+  }
+
+  // Past the horizon, a step backwards is still an ordering error, even one
+  // that lands back inside the full windows.
+  const std::vector<Packet> unordered{
+      first, Packet{1e300, dev, cloud, 1, 443, Protocol::kTcp, 100},
+      Packet{1300.0, dev, cloud, 1, 443, Protocol::kTcp, 100}};
+  EXPECT_THROW(windowed_features(unordered, dev, 1200.0, 600.0),
+               InvalidArgument);
+  const std::vector<Packet> back_inside{
+      first, Packet{1e300, dev, cloud, 1, 443, Protocol::kTcp, 100},
+      Packet{20.0, dev, cloud, 1, 443, Protocol::kTcp, 100}};
+  EXPECT_THROW(windowed_features(back_inside, dev, 1200.0, 600.0),
+               InvalidArgument);
+  EXPECT_THROW(windowed_features(std::vector<Packet>{first}, dev,
+                                 std::numeric_limits<double>::infinity(),
+                                 600.0),
+               InvalidArgument);
+}
+
 // --- fingerprinting ------------------------------------------------------------------
 
 TEST(Fingerprint, DatasetIsBalancedAcrossTypes) {
@@ -498,6 +574,19 @@ TEST(Fingerprint, DatasetIsBalancedAcrossTypes) {
   std::vector<int> counts(static_cast<std::size_t>(kNumDeviceTypes), 0);
   for (int label : data.labels) ++counts[static_cast<std::size_t>(label)];
   for (int c : counts) EXPECT_GT(c, 0);
+}
+
+TEST(Fingerprint, ForestFitsTwoMinuteWindowsAtSeedSeven) {
+  // The fleet gateway's training set at seed 7 holds feature values one ulp
+  // apart; their midpoint used to round onto the upper value, and the fit
+  // aborted with "degenerate split selected".
+  Rng rng(7);
+  FingerprintOptions options;
+  options.window_s = 120.0;
+  const auto data = build_fingerprint_dataset(options, rng);
+  ml::RandomForest forest;
+  ASSERT_NO_THROW(forest.fit(data));
+  EXPECT_EQ(forest.predict_all(data).size(), data.size());
 }
 
 TEST(Fingerprint, RandomForestIdentifiesDevices) {

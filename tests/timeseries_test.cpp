@@ -5,6 +5,7 @@
 #include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
 #include <limits>
 
 #include "common/error.h"
@@ -435,6 +436,58 @@ TEST(TraceIo, BinaryRejectsCorruption) {
     std::istringstream is(std::string(), std::ios::binary);
     EXPECT_THROW(read_binary(is), pmiot::InvalidArgument);  // empty file
   }
+}
+
+// Header fields whose u64 products and sums wrap must be rejected, not
+// accepted with a block that lies outside the file.
+std::string crafted_binary(std::uint64_t num_rows, std::uint64_t offset,
+                           std::uint64_t bytes) {
+  const TimeSeries empty(TraceMeta{CivilDate{2017, 6, 1}, 0, 60},
+                         std::vector<double>{});
+  std::ostringstream os(std::ios::binary);
+  write_binary(os, empty);
+  std::string file = os.str();
+  auto store = [&](std::size_t at, std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      file[at + static_cast<std::size_t>(b)] = static_cast<char>(v >> (8 * b));
+    }
+  };
+  store(40, num_rows);     // header: row count
+  store(64 + 24, offset);  // value column: block offset
+  store(64 + 32, bytes);   // value column: block length
+  file.resize(128, '\0');
+  return file;
+}
+
+TEST(TraceIo, BinaryRejectsWrappingHeaderFields) {
+  const std::string path = testing::TempDir() + "pmiot_crafted_trace.bin";
+  const std::string cases[] = {
+      // 2^61 rows: rows * 8 wraps to the 0-byte block it declares.
+      crafted_binary(std::uint64_t{1} << 61, 104, 0),
+      // 2^60 rows of 2^63 bytes at offset 2^63 + 104: offset + bytes wraps
+      // to 104, inside the 128-byte file.
+      crafted_binary(std::uint64_t{1} << 60, (std::uint64_t{1} << 63) + 104,
+                     std::uint64_t{1} << 63),
+      // A length that is not a whole number of doubles.
+      crafted_binary(1, 104, 12),
+      // One row too many for the bytes left after the offset.
+      crafted_binary(4, 104, 32),
+  };
+  for (const std::string& file : cases) {
+    std::istringstream is(file, std::ios::binary);
+    EXPECT_THROW(read_binary(is), pmiot::InvalidArgument);
+    {
+      std::ofstream out(path, std::ios::binary);
+      out.write(file.data(), static_cast<std::streamsize>(file.size()));
+    }
+    EXPECT_THROW(TraceView view(path), pmiot::InvalidArgument);
+    EXPECT_THROW(load_trace(path), pmiot::InvalidArgument);
+  }
+  // The same 128-byte file with a consistent header still loads.
+  const std::string ok = crafted_binary(3, 104, 24);
+  std::istringstream is(ok, std::ios::binary);
+  EXPECT_EQ(read_binary(is).size(), 3u);
+  std::remove(path.c_str());
 }
 
 TEST(TraceIo, CsvBinaryCsvRoundTripIsExact) {
