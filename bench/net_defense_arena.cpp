@@ -152,28 +152,24 @@ int self_check() {
 
   // --- config round trip ----------------------------------------------------
   {
-    campaign::NetArenaConfig config;
-    config.intensities = options.intensities;
-    config.duration_s = options.duration_s;
-    config.window_s = options.window_s;
     const auto reparsed =
-        campaign::parse_net_config(campaign::canonical_net_text(config));
+        campaign::parse_net_config(campaign::canonical_net_text(options));
     if (campaign::canonical_net_text(reparsed) !=
-            campaign::canonical_net_text(config) ||
+            campaign::canonical_net_text(options) ||
         campaign::net_config_hash(reparsed) !=
-            campaign::net_config_hash(config)) {
+            campaign::net_config_hash(options)) {
       return fail("net arena config does not round-trip canonically");
     }
     std::cout << "self-check OK: net arena config round-trips (hash ";
     char hash[32];
     std::snprintf(hash, sizeof hash, "%016llx",
                   static_cast<unsigned long long>(
-                      campaign::net_config_hash(config)));
+                      campaign::net_config_hash(options)));
     std::cout << hash << ")\n";
 
     // The frontier artifact, byte-stable across thread counts.
     std::ostringstream frontier;
-    campaign::write_net_frontier_csv(frontier, config, base);
+    campaign::write_net_frontier_csv(frontier, options, base);
     std::cout << "--- net frontier ---\n" << frontier.str()
               << "--- end frontier ---\n";
   }

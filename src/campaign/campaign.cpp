@@ -2,15 +2,16 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "campaign/checkpoint.h"
 #include "common/civil_time.h"
 #include "common/error.h"
+#include "common/kv_config.h"
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "obs/metrics.h"
@@ -93,76 +94,13 @@ std::uint64_t point_seed_for(std::uint64_t base, std::size_t archetype,
                          1 + intensity);
 }
 
-// --- Formatting -------------------------------------------------------------
+// --- Config -----------------------------------------------------------------
 
-/// Shortest decimal form that parses back to exactly `v` (canonical config
-/// text and the frontier CSV must be byte-stable for equal inputs).
-std::string fmt_double(double v) {
-  char buf[40];
-  for (int prec = 1; prec <= 17; ++prec) {
-    std::snprintf(buf, sizeof buf, "%.*g", prec, v);
-    if (std::strtod(buf, nullptr) == v) return buf;
-  }
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
+constexpr std::string_view kConfigContext = "campaign config";
 
-std::string join(const std::vector<std::string>& items) {
-  std::string out;
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    if (i) out += ", ";
-    out += items[i];
-  }
-  return out;
-}
-
-std::string join(const std::vector<double>& items) {
-  std::string out;
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    if (i) out += ", ";
-    out += fmt_double(items[i]);
-  }
-  return out;
-}
-
-// --- Config parsing ---------------------------------------------------------
-
-std::string trim(const std::string& s) {
-  std::size_t lo = s.find_first_not_of(" \t\r");
-  if (lo == std::string::npos) return "";
-  std::size_t hi = s.find_last_not_of(" \t\r");
-  return s.substr(lo, hi - lo + 1);
-}
-
-std::vector<std::string> split_list(const std::string& value) {
-  std::vector<std::string> out;
-  std::string item;
-  std::istringstream is(value);
-  while (std::getline(is, item, ',')) {
-    item = trim(item);
-    PMIOT_CHECK(!item.empty(), "empty list item in campaign config");
-    out.push_back(item);
-  }
-  return out;
-}
-
-double parse_double(const std::string& value) {
-  char* end = nullptr;
-  const double v = std::strtod(value.c_str(), &end);
-  PMIOT_CHECK(end != nullptr && *end == '\0' && !value.empty(),
-              "malformed number in campaign config: " + value);
-  return v;
-}
-
-std::uint64_t parse_u64(const std::string& value) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(value.c_str(), &end, 10);
-  PMIOT_CHECK(end != nullptr && *end == '\0' && !value.empty(),
-              "malformed integer in campaign config: " + value);
-  return static_cast<std::uint64_t>(v);
-}
-
-void validate(const CampaignConfig& config) {
+/// Validates the grid and returns its cell count, checked so that the cell
+/// ids and the `cells x payload_doubles` result matrix cannot wrap.
+std::uint64_t validate(const CampaignConfig& config) {
   PMIOT_CHECK(!config.archetypes.empty(), "campaign needs >= 1 archetype");
   PMIOT_CHECK(!config.defenses.empty(), "campaign needs >= 1 defense");
   PMIOT_CHECK(!config.attacks.empty(), "campaign needs >= 1 attack");
@@ -173,43 +111,40 @@ void validate(const CampaignConfig& config) {
   PMIOT_CHECK(config.homes_per_archetype >= 1, "campaign needs >= 1 home");
   PMIOT_CHECK(config.days >= 1, "campaign needs >= 1 day");
   PMIOT_CHECK(config.block_homes >= 1, "block_homes must be >= 1");
+  std::size_t cells = 0;
+  std::size_t payload = 0;
+  const bool overflow =
+      __builtin_mul_overflow(config.archetypes.size(),
+                             config.homes_per_archetype, &cells) ||
+      __builtin_mul_overflow(cells, config.defenses.size(), &cells) ||
+      __builtin_mul_overflow(cells, config.intensities.size(), &cells) ||
+      __builtin_mul_overflow(cells, 3 + config.attacks.size(), &payload);
+  PMIOT_CHECK(!overflow, "campaign grid has too many cells");
+  return cells;
 }
 
 }  // namespace
 
 CampaignConfig parse_config(const std::string& text) {
   CampaignConfig config;
-  std::istringstream is(text);
-  std::string line;
-  while (std::getline(is, line)) {
-    const std::size_t hash_pos = line.find('#');
-    if (hash_pos != std::string::npos) line.resize(hash_pos);
-    line = trim(line);
-    if (line.empty()) continue;
-    const std::size_t eq = line.find('=');
-    PMIOT_CHECK(eq != std::string::npos,
-                "campaign config line is not 'key = value': " + line);
-    const std::string key = trim(line.substr(0, eq));
-    const std::string value = trim(line.substr(eq + 1));
+  for (const auto& [key, value] : kv::parse_pairs(text, kConfigContext)) {
     if (key == "archetypes") {
-      config.archetypes = split_list(value);
+      config.archetypes = kv::split_list(value, kConfigContext);
     } else if (key == "defenses") {
-      config.defenses = split_list(value);
+      config.defenses = kv::split_list(value, kConfigContext);
     } else if (key == "attacks") {
-      config.attacks = split_list(value);
+      config.attacks = kv::split_list(value, kConfigContext);
     } else if (key == "intensities") {
-      config.intensities.clear();
-      for (const auto& item : split_list(value)) {
-        config.intensities.push_back(parse_double(item));
-      }
+      config.intensities = kv::parse_double_list(value, kConfigContext);
     } else if (key == "homes") {
-      config.homes_per_archetype = static_cast<std::size_t>(parse_u64(value));
+      config.homes_per_archetype =
+          kv::parse_uint<std::size_t>(value, kConfigContext);
     } else if (key == "days") {
-      config.days = static_cast<int>(parse_u64(value));
+      config.days = kv::parse_uint<int>(value, kConfigContext);
     } else if (key == "seed") {
-      config.base_seed = parse_u64(value);
+      config.base_seed = kv::parse_u64(value, kConfigContext);
     } else if (key == "block_homes") {
-      config.block_homes = static_cast<std::size_t>(parse_u64(value));
+      config.block_homes = kv::parse_uint<std::size_t>(value, kConfigContext);
     } else {
       PMIOT_CHECK(false, "unknown campaign config key: " + key);
     }
@@ -220,25 +155,19 @@ CampaignConfig parse_config(const std::string& text) {
 
 std::string canonical_text(const CampaignConfig& config) {
   std::ostringstream os;
-  os << "archetypes = " << join(config.archetypes) << '\n';
-  os << "attacks = " << join(config.attacks) << '\n';
+  os << "archetypes = " << kv::join(config.archetypes) << '\n';
+  os << "attacks = " << kv::join(config.attacks) << '\n';
   os << "block_homes = " << config.block_homes << '\n';
   os << "days = " << config.days << '\n';
-  os << "defenses = " << join(config.defenses) << '\n';
+  os << "defenses = " << kv::join(config.defenses) << '\n';
   os << "homes = " << config.homes_per_archetype << '\n';
-  os << "intensities = " << join(config.intensities) << '\n';
+  os << "intensities = " << kv::join(config.intensities) << '\n';
   os << "seed = " << config.base_seed << '\n';
   return os.str();
 }
 
 std::uint64_t config_hash(const CampaignConfig& config) {
-  const std::string text = canonical_text(config);
-  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a 64
-  for (unsigned char c : text) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
+  return kv::fnv1a64(canonical_text(config));
 }
 
 // --- Registries -------------------------------------------------------------
@@ -348,11 +277,8 @@ CampaignPlan::CampaignPlan(const CampaignConfig& config)
       homes_(config.homes_per_archetype),
       defenses_(config.defenses.size()),
       intensities_(config.intensities.size()),
-      payload_doubles_(3 + config.attacks.size()) {
-  validate(config);
-  total_cells_ = static_cast<std::uint64_t>(archetypes_) * homes_ *
-                 defenses_ * intensities_;
-}
+      payload_doubles_(3 + config.attacks.size()),
+      total_cells_(validate(config)) {}
 
 std::uint64_t CampaignPlan::cell_id(const CellRef& ref) const noexcept {
   return ((static_cast<std::uint64_t>(ref.archetype) * homes_ + ref.home) *
@@ -385,6 +311,25 @@ struct HomeSlot {
   std::vector<std::unique_ptr<core::AttackModel>> models;
   std::vector<core::UtilityBaseline> baselines;  // one per defense
 };
+
+/// Home (a, h)'s trace and defense d's utility baseline on it, each drawn
+/// from its own seed chain.
+synth::HomeTrace simulate(const CampaignConfig& config, std::size_t a,
+                          std::size_t h) {
+  Rng sim_rng(trace_seed_for(config.base_seed, a, h));
+  return synth::simulate_home(
+      archetype_home(config.archetypes[a], a, h, config.base_seed), kStart,
+      config.days, sim_rng);
+}
+
+core::UtilityBaseline baseline(const CampaignConfig& config,
+                               const core::PrivacyEvaluator& evaluator,
+                               const core::Defense& defense,
+                               const synth::HomeTrace& trace, std::size_t a,
+                               std::size_t h, std::size_t d) {
+  Rng bl_rng(baseline_seed_for(config.base_seed, a, h, d));
+  return evaluator.baseline(defense, trace, bl_rng);
+}
 
 /// Evaluates one cell's payload into `out` (layout: billing, analytics,
 /// extra energy, leakage per attack).
@@ -470,21 +415,13 @@ CampaignResult run_campaign(const CampaignConfig& config,
           }
           if (all_done) return;
           HomeSlot& slot = slots[j];
-          const std::uint64_t sim_seed =
-              trace_seed_for(config.base_seed, a, h);
-          Rng sim_rng(sim_seed);
-          slot.trace = synth::simulate_home(
-              archetype_home(config.archetypes[a], a, h, config.base_seed),
-              kStart, config.days, sim_rng);
+          slot.trace = simulate(config, a, h);
           traces_counter().add();
           slot.models = evaluator.fit_models(slot.trace);
           models_counter().add(slot.models.size());
           for (std::size_t d = 0; d < D; ++d) {
-            const std::uint64_t bl_seed =
-                baseline_seed_for(config.base_seed, a, h, d);
-            Rng bl_rng(bl_seed);
-            slot.baselines[d] =
-                evaluator.baseline(*defenses[d], slot.trace, bl_rng);
+            slot.baselines[d] = baseline(config, evaluator, *defenses[d],
+                                         slot.trace, a, h, d);
           }
         });
       }
@@ -501,9 +438,7 @@ CampaignResult run_campaign(const CampaignConfig& config,
         const std::uint64_t cell = plan.cell_id({a, h, d, i});
         if (result.done[cell]) return;
         double* out = result.values.data() + cell * P;
-        const std::uint64_t pt_seed =
-            point_seed_for(config.base_seed, a, h, d, i);
-        Rng point_rng(pt_seed);
+        Rng point_rng(point_seed_for(config.base_seed, a, h, d, i));
         if (options.use_cache) {
           const HomeSlot& slot = slots[j];
           score_cell(evaluator, *defenses[d], slot.trace, slot.baselines[d],
@@ -511,20 +446,12 @@ CampaignResult run_campaign(const CampaignConfig& config,
         } else {
           // Cache-disabled reference: re-derive the identical seed chains
           // and recompute trace, models, and baseline for this one cell.
-          const std::uint64_t sim_seed =
-              trace_seed_for(config.base_seed, a, h);
-          Rng sim_rng(sim_seed);
-          const synth::HomeTrace trace = synth::simulate_home(
-              archetype_home(config.archetypes[a], a, h, config.base_seed),
-              kStart, config.days, sim_rng);
+          const synth::HomeTrace trace = simulate(config, a, h);
           traces_counter().add();
           const auto models = evaluator.fit_models(trace);
           models_counter().add(models.size());
-          const std::uint64_t bl_seed =
-              baseline_seed_for(config.base_seed, a, h, d);
-          Rng bl_rng(bl_seed);
           const core::UtilityBaseline base =
-              evaluator.baseline(*defenses[d], trace, bl_rng);
+              baseline(config, evaluator, *defenses[d], trace, a, h, d);
           score_cell(evaluator, *defenses[d], trace, base, models,
                      config.intensities[i], point_rng, out, P);
         }
@@ -575,23 +502,14 @@ CampaignResult run_campaign_serial_oracle(const CampaignConfig& config) {
 
   for (std::size_t a = 0; a < plan.archetypes(); ++a) {
     for (std::size_t h = 0; h < plan.homes(); ++h) {
-      const std::uint64_t sim_seed = trace_seed_for(config.base_seed, a, h);
-      Rng sim_rng(sim_seed);
-      const synth::HomeTrace trace = synth::simulate_home(
-          archetype_home(config.archetypes[a], a, h, config.base_seed),
-          kStart, config.days, sim_rng);
+      const synth::HomeTrace trace = simulate(config, a, h);
       const auto models = evaluator.fit_models(trace);
       for (std::size_t d = 0; d < plan.defenses(); ++d) {
-        const std::uint64_t bl_seed =
-            baseline_seed_for(config.base_seed, a, h, d);
-        Rng bl_rng(bl_seed);
         const core::UtilityBaseline base =
-            evaluator.baseline(*defenses[d], trace, bl_rng);
+            baseline(config, evaluator, *defenses[d], trace, a, h, d);
         for (std::size_t i = 0; i < plan.intensities(); ++i) {
           const std::uint64_t cell = plan.cell_id({a, h, d, i});
-          const std::uint64_t pt_seed =
-              point_seed_for(config.base_seed, a, h, d, i);
-          Rng point_rng(pt_seed);
+          Rng point_rng(point_seed_for(config.base_seed, a, h, d, i));
           score_cell(evaluator, *defenses[d], trace, base, models,
                      config.intensities[i], point_rng,
                      result.values.data() + cell * P, P);
@@ -621,7 +539,8 @@ std::string describe_divergence(const CampaignResult& a,
       os << "cell " << cell << " (archetype=" << a.config.archetypes[ref.archetype]
          << " home=" << ref.home
          << " defense=" << a.config.defenses[ref.defense]
-         << " intensity=" << fmt_double(a.config.intensities[ref.intensity])
+         << " intensity="
+         << kv::fmt_double(a.config.intensities[ref.intensity])
          << ")";
       return os.str();
     };
@@ -637,7 +556,7 @@ std::string describe_divergence(const CampaignResult& a,
       // NaN payload differences visible.
       if (std::memcmp(&va, &vb, sizeof(double)) != 0) {
         return where() + " column " + std::to_string(k) + ": " +
-               fmt_double(va) + " vs " + fmt_double(vb);
+               kv::fmt_double(va) + " vs " + kv::fmt_double(vb);
       }
     }
   }
@@ -697,11 +616,12 @@ void write_frontier_csv(std::ostream& os, const CampaignConfig& config,
   os << '\n';
   for (const auto& row : rows) {
     os << config.archetypes[row.archetype] << ','
-       << config.defenses[row.defense] << ',' << fmt_double(row.intensity)
-       << ',' << fmt_double(row.billing_error) << ','
-       << fmt_double(row.analytics_error) << ','
-       << fmt_double(row.extra_energy_kwh);
-    for (double l : row.leakage) os << ',' << fmt_double(l);
+       << config.defenses[row.defense] << ','
+       << kv::fmt_double(row.intensity) << ','
+       << kv::fmt_double(row.billing_error) << ','
+       << kv::fmt_double(row.analytics_error) << ','
+       << kv::fmt_double(row.extra_energy_kwh);
+    for (double l : row.leakage) os << ',' << kv::fmt_double(l);
     os << '\n';
   }
 }

@@ -54,8 +54,8 @@ struct CampaignConfig {
   std::size_t block_homes = 32;    ///< homes resident per planner block
 };
 
-/// Parses the `key = value` campaign config format (one pair per line, '#'
-/// comments, lists comma-separated):
+/// Parses the campaign config in the shared `key = value` grammar
+/// (common/kv_config.h: one pair per line, '#' comments, comma lists):
 ///
 ///     archetypes = commuter, family, wfh
 ///     defenses   = smoothing, noise, battery
@@ -66,7 +66,12 @@ struct CampaignConfig {
 ///     seed = 2017
 ///     block_homes = 32
 ///
-/// Unknown keys throw InvalidArgument; omitted keys keep their defaults.
+/// Omitted keys keep their defaults. Throws InvalidArgument on an unknown
+/// key, a malformed line or value, a signed integer (`seed = -1`), an
+/// integer its field cannot hold (`homes` above 2^64-1, `days` above
+/// INT_MAX), a non-finite number, a repeated list item (for intensities
+/// compared as values: `0, 0.5, 0.5`), or a grid whose cell count or
+/// `cells x payload_doubles` would overflow.
 CampaignConfig parse_config(const std::string& text);
 
 /// The canonical config serialization (stable key order, shortest
@@ -110,7 +115,8 @@ struct CellRef {
   std::size_t intensity = 0;
 };
 
-/// Dense cell numbering over the grid:
+/// Dense cell numbering over the grid (construction throws InvalidArgument
+/// when the config is invalid or the cell count overflows):
 ///   cell_id = ((archetype * H + home) * D + defense) * I + intensity
 /// Cells of one home are contiguous, so the planner's home-major blocks
 /// checkpoint in monotonically increasing cell order.

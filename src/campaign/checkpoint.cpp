@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <fstream>
 
+#include "common/binfmt.h"
 #include "common/error.h"
 
 namespace pmiot::campaign {
@@ -14,29 +15,7 @@ constexpr char kMagic[8] = {'p', 'm', 'i', 'o', 't', 'c', 'p', '\0'};
 constexpr std::uint32_t kVersion = 1;
 constexpr std::size_t kHeaderBytes = 64;
 
-void store_u32(unsigned char* p, std::uint32_t v) {
-  p[0] = static_cast<unsigned char>(v);
-  p[1] = static_cast<unsigned char>(v >> 8);
-  p[2] = static_cast<unsigned char>(v >> 16);
-  p[3] = static_cast<unsigned char>(v >> 24);
-}
-
-void store_u64(unsigned char* p, std::uint64_t v) {
-  store_u32(p, static_cast<std::uint32_t>(v));
-  store_u32(p + 4, static_cast<std::uint32_t>(v >> 32));
-}
-
-std::uint32_t le_u32(const unsigned char* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         static_cast<std::uint32_t>(p[1]) << 8 |
-         static_cast<std::uint32_t>(p[2]) << 16 |
-         static_cast<std::uint32_t>(p[3]) << 24;
-}
-
-std::uint64_t le_u64(const unsigned char* p) {
-  return static_cast<std::uint64_t>(le_u32(p)) |
-         static_cast<std::uint64_t>(le_u32(p + 4)) << 32;
-}
+using namespace binfmt;
 
 std::size_t record_bytes(const CampaignPlan& plan) {
   return 8 + plan.payload_doubles() * sizeof(double);

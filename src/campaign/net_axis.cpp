@@ -1,181 +1,71 @@
 #include "campaign/net_axis.h"
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 
 #include "common/error.h"
+#include "common/kv_config.h"
 
 namespace pmiot::campaign {
 
 namespace {
 
-// Same formatting/parsing discipline as campaign.cpp's config code; small
-// enough that sharing internals across TUs is not worth a header.
-
-std::string fmt_double(double v) {
-  char buf[40];
-  for (int prec = 1; prec <= 17; ++prec) {
-    std::snprintf(buf, sizeof buf, "%.*g", prec, v);
-    if (std::strtod(buf, nullptr) == v) return buf;
-  }
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
-std::string join(const std::vector<std::string>& items) {
-  std::string out;
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    if (i) out += ", ";
-    out += items[i];
-  }
-  return out;
-}
-
-std::string join(const std::vector<double>& items) {
-  std::string out;
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    if (i) out += ", ";
-    out += fmt_double(items[i]);
-  }
-  return out;
-}
-
-std::string trim(const std::string& s) {
-  std::size_t lo = s.find_first_not_of(" \t\r");
-  if (lo == std::string::npos) return "";
-  std::size_t hi = s.find_last_not_of(" \t\r");
-  return s.substr(lo, hi - lo + 1);
-}
-
-std::vector<std::string> split_list(const std::string& value) {
-  std::vector<std::string> out;
-  std::string item;
-  std::istringstream is(value);
-  while (std::getline(is, item, ',')) {
-    item = trim(item);
-    PMIOT_CHECK(!item.empty(), "empty list item in net arena config");
-    out.push_back(item);
-  }
-  return out;
-}
-
-double parse_double(const std::string& value) {
-  char* end = nullptr;
-  const double v = std::strtod(value.c_str(), &end);
-  PMIOT_CHECK(end != nullptr && *end == '\0' && !value.empty(),
-              "malformed number in net arena config: " + value);
-  return v;
-}
-
-std::uint64_t parse_u64(const std::string& value) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(value.c_str(), &end, 10);
-  PMIOT_CHECK(end != nullptr && *end == '\0' && !value.empty(),
-              "malformed integer in net arena config: " + value);
-  return static_cast<std::uint64_t>(v);
-}
-
-void validate(const NetArenaConfig& config) {
-  PMIOT_CHECK(!config.defenses.empty(), "net arena needs >= 1 defense");
-  PMIOT_CHECK(!config.intensities.empty(), "net arena needs >= 1 intensity");
-  for (double i : config.intensities) {
-    PMIOT_CHECK(i >= 0.0 && i <= 1.0, "intensities must lie in [0, 1]");
-  }
-  PMIOT_CHECK(config.train_instances_per_type >= 1 &&
-                  config.test_instances_per_type >= 1,
-              "net arena needs >= 1 instance per device type");
-  PMIOT_CHECK(config.window_s > 0.0 && config.duration_s >= config.window_s,
-              "net arena needs at least one full window");
-}
+constexpr std::string_view kContext = "net arena config";
 
 }  // namespace
 
-NetArenaConfig parse_net_config(const std::string& text) {
-  NetArenaConfig config;
-  std::istringstream is(text);
-  std::string line;
-  while (std::getline(is, line)) {
-    const std::size_t hash_pos = line.find('#');
-    if (hash_pos != std::string::npos) line.resize(hash_pos);
-    line = trim(line);
-    if (line.empty()) continue;
-    const std::size_t eq = line.find('=');
-    PMIOT_CHECK(eq != std::string::npos,
-                "net arena config line is not 'key = value': " + line);
-    const std::string key = trim(line.substr(0, eq));
-    const std::string value = trim(line.substr(eq + 1));
+net::ArenaOptions parse_net_config(const std::string& text) {
+  net::ArenaOptions options;
+  for (const auto& [key, value] : kv::parse_pairs(text, kContext)) {
     if (key == "defenses") {
-      config.defenses = split_list(value);
+      options.defenses = kv::split_list(value, kContext);
     } else if (key == "attacks") {
-      config.attacks = split_list(value);
+      options.attacks = kv::split_list(value, kContext);
     } else if (key == "intensities") {
-      config.intensities.clear();
-      for (const auto& item : split_list(value)) {
-        config.intensities.push_back(parse_double(item));
-      }
+      options.intensities = kv::parse_double_list(value, kContext);
     } else if (key == "train_instances") {
-      config.train_instances_per_type = static_cast<int>(parse_u64(value));
+      options.train_instances_per_type = kv::parse_uint<int>(value, kContext);
     } else if (key == "test_instances") {
-      config.test_instances_per_type = static_cast<int>(parse_u64(value));
+      options.test_instances_per_type = kv::parse_uint<int>(value, kContext);
     } else if (key == "duration_s") {
-      config.duration_s = parse_double(value);
+      options.duration_s = kv::parse_double(value, kContext);
     } else if (key == "window_s") {
-      config.window_s = parse_double(value);
+      options.window_s = kv::parse_double(value, kContext);
     } else if (key == "seed") {
-      config.base_seed = parse_u64(value);
+      options.seed = kv::parse_u64(value, kContext);
     } else {
       PMIOT_CHECK(false, "unknown net arena config key: " + key);
     }
   }
-  validate(config);
-  return config;
-}
-
-std::string canonical_net_text(const NetArenaConfig& config) {
-  std::ostringstream os;
-  os << "attacks = " << join(config.attacks) << '\n';
-  os << "defenses = " << join(config.defenses) << '\n';
-  os << "duration_s = " << fmt_double(config.duration_s) << '\n';
-  os << "intensities = " << join(config.intensities) << '\n';
-  os << "seed = " << config.base_seed << '\n';
-  os << "test_instances = " << config.test_instances_per_type << '\n';
-  os << "train_instances = " << config.train_instances_per_type << '\n';
-  os << "window_s = " << fmt_double(config.window_s) << '\n';
-  return os.str();
-}
-
-std::uint64_t net_config_hash(const NetArenaConfig& config) {
-  const std::string text = canonical_net_text(config);
-  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a 64
-  for (unsigned char c : text) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-net::ArenaOptions to_arena_options(const NetArenaConfig& config) {
-  validate(config);
-  net::ArenaOptions options;
-  options.defenses = config.defenses;
-  options.attacks = config.attacks;
-  options.intensities = config.intensities;
-  options.train_instances_per_type = config.train_instances_per_type;
-  options.test_instances_per_type = config.test_instances_per_type;
-  options.duration_s = config.duration_s;
-  options.window_s = config.window_s;
-  options.seed = config.base_seed;
+  net::validate_arena_options(options);
   return options;
 }
 
-void write_net_frontier_csv(std::ostream& os, const NetArenaConfig& config,
+std::string canonical_net_text(const net::ArenaOptions& options) {
+  std::ostringstream os;
+  os << "attacks = " << kv::join(options.attacks) << '\n';
+  os << "defenses = " << kv::join(options.defenses) << '\n';
+  os << "duration_s = " << kv::fmt_double(options.duration_s) << '\n';
+  os << "intensities = " << kv::join(options.intensities) << '\n';
+  os << "seed = " << options.seed << '\n';
+  os << "test_instances = " << options.test_instances_per_type << '\n';
+  os << "train_instances = " << options.train_instances_per_type << '\n';
+  os << "window_s = " << kv::fmt_double(options.window_s) << '\n';
+  return os.str();
+}
+
+std::uint64_t net_config_hash(const net::ArenaOptions& options) {
+  return kv::fnv1a64(canonical_net_text(options));
+}
+
+void write_net_frontier_csv(std::ostream& os,
+                            const net::ArenaOptions& options,
                             const net::ArenaResult& result) {
   char hash[32];
   std::snprintf(hash, sizeof hash, "%016llx",
-                static_cast<unsigned long long>(net_config_hash(config)));
+                static_cast<unsigned long long>(net_config_hash(options)));
   os << "# net arena config hash " << hash << '\n';
   os << "defense,intensity,added_bytes_fraction,mean_added_latency_s,"
         "naive_mcc,privacy_mcc";
@@ -186,11 +76,14 @@ void write_net_frontier_csv(std::ostream& os, const NetArenaConfig& config,
   }
   os << '\n';
   for (const auto& cell : result.cells) {
-    os << cell.defense << ',' << fmt_double(cell.intensity) << ','
-       << fmt_double(cell.added_bytes_fraction) << ','
-       << fmt_double(cell.mean_added_latency_s) << ','
-       << fmt_double(cell.naive_mcc) << ',' << fmt_double(cell.privacy_mcc);
-    for (const auto& score : cell.attacks) os << ',' << fmt_double(score.mcc);
+    os << cell.defense << ',' << kv::fmt_double(cell.intensity) << ','
+       << kv::fmt_double(cell.added_bytes_fraction) << ','
+       << kv::fmt_double(cell.mean_added_latency_s) << ','
+       << kv::fmt_double(cell.naive_mcc) << ','
+       << kv::fmt_double(cell.privacy_mcc);
+    for (const auto& score : cell.attacks) {
+      os << ',' << kv::fmt_double(score.mcc);
+    }
     os << '\n';
   }
 }

@@ -14,6 +14,7 @@
 #include "ml/metrics.h"
 #include "ml/random_forest.h"
 #include "net/features.h"
+#include "net/window_accumulator.h"
 
 namespace pmiot::net {
 
@@ -147,13 +148,7 @@ struct ArenaContext {
 };
 
 ArenaContext prepare(const ArenaOptions& o) {
-  PMIOT_CHECK(o.duration_s >= o.window_s && o.window_s > 0.0,
-              "need at least one full window");
-  PMIOT_CHECK(!o.defenses.empty() && !o.intensities.empty(),
-              "empty arena grid");
-  for (const double i : o.intensities) {
-    PMIOT_CHECK(i >= 0.0 && i <= 1.0, "intensity must be within [0, 1]");
-  }
+  validate_arena_options(o);
   ArenaContext ctx;
   Rng train_rng(par::shard_seed(o.seed, kTrainHomeSalt));
   Rng test_rng(par::shard_seed(o.seed, kTestHomeSalt));
@@ -243,6 +238,19 @@ ArenaResult run_arena_impl(const ArenaOptions& o, bool pooled) {
 }
 
 }  // namespace
+
+void validate_arena_options(const ArenaOptions& options) {
+  PMIOT_CHECK(full_window_count(options.duration_s, options.window_s) >= 1,
+              "need at least one full window");
+  PMIOT_CHECK(!options.defenses.empty() && !options.intensities.empty(),
+              "empty arena grid");
+  for (const double i : options.intensities) {
+    PMIOT_CHECK(i >= 0.0 && i <= 1.0, "intensity must be within [0, 1]");
+  }
+  PMIOT_CHECK(options.train_instances_per_type >= 1 &&
+                  options.test_instances_per_type >= 1,
+              "arena needs >= 1 instance per device type");
+}
 
 const std::vector<SupervisedFingerprintAttack>& fingerprint_attacks() {
   using Backend = SupervisedFingerprintAttack::Backend;

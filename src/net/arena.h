@@ -71,6 +71,11 @@ struct ArenaOptions {
   std::uint64_t seed = 2018;
 };
 
+/// The one arena-grid check (run_arena, run_arena_serial, parse_net_config):
+/// `full_window_count` >= 1, a non-empty grid, intensities in [0, 1], >= 1
+/// instance per device type. Registry names are checked when the grid runs.
+void validate_arena_options(const ArenaOptions& options);
+
 /// One attack's showing in one cell.
 struct AttackScore {
   std::string attack;

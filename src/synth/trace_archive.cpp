@@ -4,19 +4,13 @@
 #include <fstream>
 
 #include "common/error.h"
+#include "common/kv_config.h"
 
 namespace pmiot::synth {
 namespace {
 
 std::string column_path(const std::string& dir, const std::string& stem) {
   return dir + "/" + stem + ".pmiotbt";
-}
-
-std::string trim(const std::string& s) {
-  const std::size_t lo = s.find_first_not_of(" \t\r");
-  if (lo == std::string::npos) return "";
-  const std::size_t hi = s.find_last_not_of(" \t\r");
-  return s.substr(lo, hi - lo + 1);
 }
 
 }  // namespace
@@ -65,16 +59,13 @@ HomeTraceView::HomeTraceView(const std::string& dir)
               "missing home-trace manifest in " + dir);
   std::string line;
   PMIOT_CHECK(std::getline(manifest, line) &&
-                  trim(line) == "# pmiot-home v1",
+                  kv::trim(line) == "# pmiot-home v1",
               "missing pmiot-home manifest header in " + dir);
   while (std::getline(manifest, line)) {
-    line = trim(line);
+    // Unlike the config grammar, '#' opens a comment only at line start.
+    line = kv::trim(line);
     if (line.empty() || line.front() == '#') continue;
-    const std::size_t eq = line.find('=');
-    PMIOT_CHECK(eq != std::string::npos,
-                "malformed home-trace manifest line: " + line);
-    const std::string key = trim(line.substr(0, eq));
-    const std::string value = trim(line.substr(eq + 1));
+    const auto [key, value] = kv::split_pair(line, "home-trace manifest");
     if (key == "name") {
       name_ = value;
     } else if (key == "appliance") {

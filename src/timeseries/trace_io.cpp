@@ -18,6 +18,7 @@
 #include <unistd.h>
 #endif
 
+#include "common/binfmt.h"
 #include "common/error.h"
 
 namespace pmiot::ts {
@@ -169,41 +170,7 @@ constexpr std::size_t kDirEntryBytes = 40;
 constexpr std::size_t kColumnNameBytes = 24;
 constexpr char kValueColumn[] = "value";
 
-void store_u32(unsigned char* p, std::uint32_t v) {
-  p[0] = static_cast<unsigned char>(v & 0xff);
-  p[1] = static_cast<unsigned char>((v >> 8) & 0xff);
-  p[2] = static_cast<unsigned char>((v >> 16) & 0xff);
-  p[3] = static_cast<unsigned char>((v >> 24) & 0xff);
-}
-
-void store_u64(unsigned char* p, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    p[i] = static_cast<unsigned char>((v >> (8 * i)) & 0xff);
-  }
-}
-
-void store_i32(unsigned char* p, std::int32_t v) {
-  store_u32(p, static_cast<std::uint32_t>(v));
-}
-
-std::uint32_t le_u32(const unsigned char* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
-std::uint64_t le_u64(const unsigned char* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-  }
-  return v;
-}
-
-std::int32_t le_i32(const unsigned char* p) {
-  return static_cast<std::int32_t>(le_u32(p));
-}
+using namespace binfmt;
 
 /// Parsed directory of a binary trace buffer: the metadata plus the
 /// in-buffer location of the "value" column. Everything is bounds-checked
@@ -270,18 +237,14 @@ BinaryLayout parse_binary_header(const unsigned char* data, std::size_t size) {
   throw InvalidArgument("pmiot binary trace has no \"value\" column");
 }
 
-/// Copies a column block out of the buffer into doubles. Little-endian
-/// hosts take the bulk memcpy; others fall back to per-element assembly of
-/// the stored little-endian bit patterns.
+// Column blocks are little-endian f64 and move as native doubles (bulk
+// memcpy, and TraceView aliases them zero-copy), so hosts must match.
+static_assert(std::endian::native == std::endian::little,
+              "pmiotbt column blocks require a little-endian host");
+
 std::vector<double> copy_column(const unsigned char* block, std::size_t n) {
   std::vector<double> values(n);
-  if constexpr (std::endian::native == std::endian::little) {
-    if (n > 0) std::memcpy(values.data(), block, n * sizeof(double));
-  } else {
-    for (std::size_t i = 0; i < n; ++i) {
-      values[i] = std::bit_cast<double>(le_u64(block + i * sizeof(double)));
-    }
-  }
+  if (n > 0) std::memcpy(values.data(), block, n * sizeof(double));
   return values;
 }
 
@@ -314,18 +277,9 @@ void write_binary(std::ostream& os, const TimeSeries& series) {
   store_u64(entry + kColumnNameBytes + 8, n * sizeof(double));
 
   os.write(reinterpret_cast<const char*>(head), sizeof head);
-  const auto values = series.values();
-  if constexpr (std::endian::native == std::endian::little) {
-    if (n > 0) {
-      os.write(reinterpret_cast<const char*>(values.data()),
-               static_cast<std::streamsize>(n * sizeof(double)));
-    }
-  } else {
-    unsigned char buf[sizeof(double)];
-    for (const double v : values) {
-      store_u64(buf, std::bit_cast<std::uint64_t>(v));
-      os.write(reinterpret_cast<const char*>(buf), sizeof buf);
-    }
+  if (n > 0) {
+    os.write(reinterpret_cast<const char*>(series.values().data()),
+             static_cast<std::streamsize>(n * sizeof(double)));
   }
   PMIOT_CHECK(os.good(), "binary trace write failed");
 }
@@ -409,13 +363,7 @@ TraceView::TraceView(const std::string& path) {
   try {
     const BinaryLayout layout = parse_binary_header(data, size);
     // The block offset is 8-aligned and the mapping is page-aligned, so the
-    // reinterpret below lands on a correctly aligned double array. On a
-    // big-endian host a zero-copy alias would mis-read the stored
-    // little-endian payload, so serving values through the view is gated to
-    // little-endian hosts (the fallback is `read_binary`, which converts).
-    static_assert(std::endian::native == std::endian::little,
-                  "TraceView zero-copy aliasing requires a little-endian "
-                  "host; use read_binary on big-endian targets");
+    // reinterpret below lands on a correctly aligned double array.
     meta_ = layout.meta;
     values_ = std::span<const double>(
         reinterpret_cast<const double*>(data + layout.value_offset),

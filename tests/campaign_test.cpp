@@ -1,5 +1,6 @@
 // Tests for the population-scale campaign runner (src/campaign): config
-// parsing and canonicalization, the cell-id plan, checkpoint robustness
+// parsing and canonicalization (hostile values, pinned default hash), the
+// cell-id plan (overflow included), checkpoint bytes and robustness
 // (truncation, corruption, duplicates), and bitwise equality of the sharded
 // runner with the serial oracle — including interrupt/resume — at several
 // pool widths.
@@ -8,7 +9,10 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <limits>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "campaign/campaign.h"
@@ -70,6 +74,41 @@ TEST(CampaignConfig, ParseRejectsUnknownKeysAndBadValues) {
   EXPECT_THROW(parse_config("not_a_key = 3\n"), InvalidArgument);
   EXPECT_THROW(parse_config("days = many\n"), InvalidArgument);
   EXPECT_THROW(parse_config("homes = 0\n"), InvalidArgument);
+  EXPECT_THROW(parse_config("homes\n"), InvalidArgument);
+  // Integers: no sign, nothing past 2^64-1, nothing the field cannot hold.
+  EXPECT_THROW(parse_config("seed = -1\n"), InvalidArgument);
+  EXPECT_THROW(parse_config("seed = +7\n"), InvalidArgument);
+  EXPECT_THROW(parse_config("homes = 18446744073709551616\n"),
+               InvalidArgument);
+  EXPECT_THROW(parse_config("days = 4294967297\n"), InvalidArgument);
+  EXPECT_THROW(parse_config("days = 2147483648\n"), InvalidArgument);
+  EXPECT_EQ(parse_config("seed = 18446744073709551615\n").base_seed,
+            std::numeric_limits<std::uint64_t>::max());
+  // Numbers must be finite.
+  EXPECT_THROW(parse_config("intensities = 0, nan\n"), InvalidArgument);
+  EXPECT_THROW(parse_config("intensities = inf\n"), InvalidArgument);
+  // Lists must not repeat; intensities compare as values.
+  EXPECT_THROW(parse_config("intensities = 0, 0.5, 0.5\n"), InvalidArgument);
+  EXPECT_THROW(parse_config("intensities = 0.5, 5e-1\n"), InvalidArgument);
+  EXPECT_THROW(parse_config("intensities = 0, -0\n"), InvalidArgument);
+  EXPECT_THROW(parse_config("archetypes = wfh, wfh\n"), InvalidArgument);
+  EXPECT_THROW(parse_config("attacks = forest,forest\n"), InvalidArgument);
+}
+
+TEST(CampaignConfig, DefaultCanonicalTextAndHashArePinned) {
+  // Stamped into every existing checkpoint header: a change here orphans
+  // them all.
+  const CampaignConfig config;
+  EXPECT_EQ(canonical_text(config),
+            "archetypes = commuter, family, wfh\n"
+            "attacks = occupancy, appliances, forest\n"
+            "block_homes = 32\n"
+            "days = 3\n"
+            "defenses = smoothing, noise, battery\n"
+            "homes = 16\n"
+            "intensities = 0, 0.25, 0.5, 0.75, 1\n"
+            "seed = 2017\n");
+  EXPECT_EQ(config_hash(config), 0x295ea41826271c7eULL);
 }
 
 TEST(CampaignConfig, HashSeparatesGrids) {
@@ -120,7 +159,65 @@ TEST(CampaignPlan, CellIdDecodeRoundTripsOverTheGrid) {
   }
 }
 
+TEST(CampaignPlan, RejectsCellCountOverflow) {
+  // 3 archetypes x 6148914691236517206 homes wraps to 2 cells in u64.
+  const std::string text =
+      "homes = 6148914691236517206\ndefenses = noise\nintensities = 0\n";
+  EXPECT_THROW(parse_config(text), InvalidArgument);
+  CampaignConfig config;
+  config.homes_per_archetype = 6148914691236517206ULL;
+  config.defenses = {"noise"};
+  config.intensities = {0.0};
+  EXPECT_THROW(CampaignPlan{config}, InvalidArgument);
+  // The cell count fits, but the cells x payload_doubles matrix does not.
+  config.archetypes = {"wfh"};
+  config.homes_per_archetype = std::size_t{1} << 62;
+  EXPECT_THROW(CampaignPlan{config}, InvalidArgument);
+}
+
 // --- checkpoint format ------------------------------------------------------
+
+TEST(CheckpointBytes, HeaderAndRecordArePinned) {
+  // Round trips cannot catch a symmetric encoding change; these bytes can.
+  CampaignConfig config;
+  config.archetypes = {"commuter"};
+  config.defenses = {"noise"};
+  config.attacks = {"occupancy"};
+  config.intensities = {0.0, 0.5};
+  config.homes_per_archetype = 2;
+  config.days = 1;
+  config.base_seed = 7;
+  const CampaignPlan plan(config);
+  ASSERT_EQ(config_hash(config), 0xb946bb3b4b05154bULL);
+  const std::string path = temp_path("pmiot_campaign_ckpt_pinned.bin");
+  {
+    CheckpointWriter writer(path, plan, config_hash(config), config.base_seed);
+    const double payload[4] = {0.125, -3.0, 1e-300, 2.5};
+    writer.append(3, payload);
+    writer.flush();
+  }
+  const std::vector<unsigned char> expected = {
+      // magic "pmiotcp\0", version 1, header bytes 64
+      0x70, 0x6d, 0x69, 0x6f, 0x74, 0x63, 0x70, 0x00, 0x01, 0x00, 0x00, 0x00,
+      0x40, 0x00, 0x00, 0x00,
+      // config hash, payload doubles 4 (+4 pad), total cells 4, base seed 7
+      0x4b, 0x15, 0x05, 0x4b, 0x3b, 0xbb, 0x46, 0xb9, 0x04, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      // reserved
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00,
+      // record: cell 3, then 0.125, -3, 1e-300, 2.5 as little-endian f64
+      0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0xc0, 0x3f, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x08, 0xc0,
+      0x59, 0xf3, 0xf8, 0xc2, 0x1f, 0x6e, 0xa5, 0x01, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x04, 0x40};
+  std::ifstream is(path, std::ios::binary);
+  const std::vector<unsigned char> bytes(
+      (std::istreambuf_iterator<char>(is)), std::istreambuf_iterator<char>());
+  EXPECT_EQ(bytes, expected);
+  std::filesystem::remove(path);
+}
 
 /// Checkpoint fixture over synthetic payloads: no evaluator involved, so
 /// corruption cases can target exact byte offsets.

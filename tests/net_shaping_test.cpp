@@ -6,6 +6,8 @@
 // structural guarantees (full-intensity quantization, single VPN tuple).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <set>
 #include <sstream>
 
@@ -321,16 +323,25 @@ TEST(Arena, RejectsBadOptions) {
   options = tiny_arena();
   options.defenses = {"warp-drive"};
   EXPECT_THROW(run_arena(options), InvalidArgument);
+  options = tiny_arena();
+  options.test_instances_per_type = 0;
+  EXPECT_THROW(run_arena_serial(options), InvalidArgument);
+  options = tiny_arena();
+  options.window_s = 1e-300;  // more windows than full_window_count allows
+  EXPECT_THROW(validate_arena_options(options), InvalidArgument);
+  options = tiny_arena();
+  options.duration_s = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(validate_arena_options(options), InvalidArgument);
 }
 
 // --- campaign net axis ------------------------------------------------------
 
 TEST(NetAxis, ConfigRoundTripsCanonically) {
-  campaign::NetArenaConfig config;
+  ArenaOptions config;
   config.defenses = {"vpn", "constant-rate"};
   config.intensities = {0.0, 0.125, 1.0};
   config.duration_s = 1234.5;
-  config.base_seed = 99;
+  config.seed = 99;
   const auto text = campaign::canonical_net_text(config);
   const auto reparsed = campaign::parse_net_config(text);
   EXPECT_EQ(campaign::canonical_net_text(reparsed), text);
@@ -346,17 +357,56 @@ TEST(NetAxis, ParserRejectsBadInput) {
   EXPECT_THROW(campaign::parse_net_config("window_s = 0"), InvalidArgument);
   EXPECT_THROW(campaign::parse_net_config("duration_s = nope"),
                InvalidArgument);
+  EXPECT_THROW(campaign::parse_net_config("window_s"), InvalidArgument);
+  // Integers: no sign, nothing past 2^64-1, nothing an int cannot hold.
+  EXPECT_THROW(campaign::parse_net_config("seed = -1"), InvalidArgument);
+  EXPECT_THROW(campaign::parse_net_config("seed = 18446744073709551616"),
+               InvalidArgument);
+  EXPECT_THROW(campaign::parse_net_config("train_instances = 4294967297"),
+               InvalidArgument);
+  EXPECT_THROW(campaign::parse_net_config("test_instances = 2147483648"),
+               InvalidArgument);
+  EXPECT_THROW(campaign::parse_net_config("train_instances = 0"),
+               InvalidArgument);
+  // Numbers must be finite, and the grid must have a countable number of
+  // full windows.
+  EXPECT_THROW(campaign::parse_net_config("duration_s = inf"),
+               InvalidArgument);
+  EXPECT_THROW(campaign::parse_net_config("duration_s = 1e400"),
+               InvalidArgument);
+  EXPECT_THROW(campaign::parse_net_config("window_s = 1e-300"),
+               InvalidArgument);
+  // Lists must not repeat; intensities compare as values.
+  EXPECT_THROW(campaign::parse_net_config("intensities = 0, 0.5, 0.5"),
+               InvalidArgument);
+  EXPECT_THROW(campaign::parse_net_config("intensities = 1, 1.0"),
+               InvalidArgument);
+  EXPECT_THROW(campaign::parse_net_config("defenses = vpn, vpn"),
+               InvalidArgument);
+  EXPECT_EQ(campaign::parse_net_config("seed = 18446744073709551615").seed,
+            std::numeric_limits<std::uint64_t>::max());
+}
+
+TEST(NetAxis, DefaultGridCanonicalTextAndHashArePinned) {
+  const ArenaOptions options;
+  EXPECT_EQ(campaign::canonical_net_text(options),
+            "attacks = \n"
+            "defenses = constant-rate, cover, decoy, vpn\n"
+            "duration_s = 3.6e+03\n"
+            "intensities = 0, 0.35, 0.7, 1\n"
+            "seed = 2018\n"
+            "test_instances = 2\n"
+            "train_instances = 2\n"
+            "window_s = 3e+02\n");
+  EXPECT_EQ(campaign::net_config_hash(options), 0x8502523c9dcee0c3ULL);
+  // The empty attack list (= full panel) survives the round trip.
+  EXPECT_TRUE(campaign::parse_net_config(campaign::canonical_net_text(options))
+                  .attacks.empty());
 }
 
 TEST(NetAxis, FrontierCsvIsByteStable) {
-  campaign::NetArenaConfig config;
-  config.defenses = {"constant-rate", "vpn"};
-  config.intensities = {0.0, 1.0};
-  config.train_instances_per_type = 1;
-  config.test_instances_per_type = 1;
-  config.duration_s = 600.0;
-  config.window_s = 300.0;
-  const auto result = net::run_arena(campaign::to_arena_options(config));
+  const auto config = tiny_arena();
+  const auto result = run_arena(config);
   std::ostringstream a, b;
   campaign::write_net_frontier_csv(a, config, result);
   campaign::write_net_frontier_csv(b, config, result);

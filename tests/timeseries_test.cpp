@@ -364,6 +364,35 @@ TEST(TraceIo, BinaryRoundTripsBitExact) {
   }
 }
 
+TEST(TraceIo, BinaryBytesArePinned) {
+  // Round trips cannot catch a symmetric encoding change; these bytes can.
+  const TimeSeries s(TraceMeta{CivilDate{2017, 6, 5}, 90, 60},
+                     std::vector<double>{1.5, -0.25});
+  std::ostringstream os(std::ios::binary);
+  write_binary(os, s);
+  const unsigned char expected[] = {
+      // magic "pmiotbt\0", version 1, header bytes 64
+      0x70, 0x6d, 0x69, 0x6f, 0x74, 0x62, 0x74, 0x00, 0x01, 0x00, 0x00, 0x00,
+      0x40, 0x00, 0x00, 0x00,
+      // 2017-06-05, minute 90, 60 s interval, 1 column, 2 rows
+      0xe1, 0x07, 0x00, 0x00, 0x06, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00,
+      0x5a, 0x00, 0x00, 0x00, 0x3c, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+      0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      // directory offset 64, reserved
+      0x40, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00,
+      // directory entry: "value", data offset 104, 16 bytes
+      0x76, 0x61, 0x6c, 0x75, 0x65, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x68, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x10, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00,
+      // 1.5, -0.25 as little-endian f64
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf8, 0x3f, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0xd0, 0xbf};
+  EXPECT_EQ(os.str(), std::string(reinterpret_cast<const char*>(expected),
+                                  sizeof expected));
+}
+
 TEST(TraceIo, BinaryEmptySeries) {
   const TimeSeries s(TraceMeta{CivilDate{2020, 2, 29}, 15, 30},
                      std::vector<double>{});
