@@ -1,4 +1,5 @@
-// Machine-readable bench output.
+// Machine-readable bench output, plus the wall-clock helpers the benches
+// time their passes with.
 //
 // Each participating bench binary writes a `BENCH_<name>.json` file next to
 // its working directory in addition to the human-readable tables, so the
@@ -15,8 +16,8 @@
 //   }
 #pragma once
 
-#include <cstdio>
-#include <cstdlib>
+#include <chrono>
+#include <cstddef>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -24,30 +25,17 @@
 #include <utility>
 #include <vector>
 
+#include "obs/metrics.h"
+
 namespace pmiot::bench {
 
-inline std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
+using Clock = std::chrono::steady_clock;
+
+inline double ms_between(Clock::time_point t0, Clock::time_point t1) {
+  return std::chrono::duration<double, std::milli>(t1 - t0).count();
 }
 
+/// Precision-12 number, `null` for NaN and +/-inf.
 inline std::string json_number(double v) {
   if (!(v == v) || v > 1.7e308 || v < -1.7e308) return "null";  // nan/inf
   std::ostringstream os;
@@ -63,7 +51,7 @@ class BenchJson {
   explicit BenchJson(std::string name) : name_(std::move(name)) {}
 
   BenchJson& config(const std::string& key, const std::string& value) {
-    config_.emplace_back(key, '"' + json_escape(value) + '"');
+    config_.emplace_back(key, '"' + obs::json_escape(value) + '"');
     return *this;
   }
   BenchJson& config(const std::string& key, const char* value) {
@@ -89,10 +77,10 @@ class BenchJson {
   BenchJson& result(const std::string& name, double wall_ms, double throughput,
                     const std::string& throughput_unit) {
     std::ostringstream os;
-    os << "{\"name\": \"" << json_escape(name) << "\", \"wall_ms\": "
+    os << "{\"name\": \"" << obs::json_escape(name) << "\", \"wall_ms\": "
        << json_number(wall_ms) << ", \"throughput\": "
        << json_number(throughput) << ", \"throughput_unit\": \""
-       << json_escape(throughput_unit) << "\"}";
+       << obs::json_escape(throughput_unit) << "\"}";
     results_.push_back(os.str());
     return *this;
   }
@@ -103,14 +91,9 @@ class BenchJson {
     return *this;
   }
 
-  /// Output location: `$PMIOT_BENCH_DIR/BENCH_<name>.json` when the env
-  /// override is set (CI points it at the artifact directory), otherwise
-  /// the current working directory.
+  /// Output location: `BENCH_<name>.json` under `obs::artifact_path`.
   std::string path() const {
-    std::string file = "BENCH_" + name_ + ".json";
-    const char* dir = std::getenv("PMIOT_BENCH_DIR");
-    if (dir != nullptr && *dir != '\0') return std::string(dir) + "/" + file;
-    return file;
+    return obs::artifact_path("BENCH_" + name_ + ".json");
   }
 
   /// Writes the JSON file; reports (but does not fail on) IO errors, so a
@@ -121,7 +104,7 @@ class BenchJson {
       std::cerr << "warning: could not write " << path() << '\n';
       return false;
     }
-    os << "{\n  \"bench\": \"" << json_escape(name_) << "\",\n";
+    os << "{\n  \"bench\": \"" << obs::json_escape(name_) << "\",\n";
     os << "  \"config\": {";
     write_pairs(os, config_);
     os << "},\n  \"results\": [";
@@ -139,7 +122,7 @@ class BenchJson {
 
   static void write_pairs(std::ostream& os, const Pairs& pairs) {
     for (std::size_t i = 0; i < pairs.size(); ++i) {
-      os << (i ? ", " : "") << '"' << json_escape(pairs[i].first)
+      os << (i ? ", " : "") << '"' << obs::json_escape(pairs[i].first)
          << "\": " << pairs[i].second;
     }
   }

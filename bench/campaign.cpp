@@ -20,8 +20,6 @@
 // `--run` is the CI kill/resume harness: stream to --checkpoint, die (or
 // get killed) mid-flight, rerun with --resume, and diff the --frontier
 // artifact against an uninterrupted run.
-#include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -29,7 +27,6 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <new>
 #include <sstream>
 #include <string>
 
@@ -38,34 +35,13 @@
 #include "campaign/checkpoint.h"
 #include "common/parallel.h"
 #include "common/table.h"
+#include "counting_alloc.h"
 #include "obs/metrics.h"
 #include "synth/trace_archive.h"
 
 using namespace pmiot;
 
-// Global allocation counter behind the zero-allocation self-check below.
-// Replacing `operator new` in this translation unit swaps the allocator for
-// the whole binary, so every heap allocation funnels through the counter.
-static std::atomic<std::uint64_t> g_heap_allocations{0};
-
-void* operator new(std::size_t size) {
-  g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double ms_between(Clock::time_point t0, Clock::time_point t1) {
-  return std::chrono::duration<double, std::milli>(t1 - t0).count();
-}
 
 /// Small grid the equalities are proven on (seconds, not minutes, even
 /// cache-disabled). Three homes per archetype with two-home blocks forces
@@ -309,22 +285,22 @@ int main(int argc, char** argv) {
   const campaign::CampaignConfig config = reference_config(homes);
   const campaign::CampaignPlan plan(config);
 
-  const auto c0 = Clock::now();
+  const auto c0 = bench::Clock::now();
   const auto cached = campaign::run_campaign(config);
-  const auto c1 = Clock::now();
+  const auto c1 = bench::Clock::now();
   campaign::RunOptions uncached_options;
   uncached_options.use_cache = false;
-  const auto u0 = Clock::now();
+  const auto u0 = bench::Clock::now();
   const auto uncached = campaign::run_campaign(config, uncached_options);
-  const auto u1 = Clock::now();
+  const auto u1 = bench::Clock::now();
   if (const auto d = campaign::describe_divergence(cached, uncached);
       !d.empty()) {
     std::cerr << "MISMATCH: reference grid cached vs uncached: " << d << '\n';
     return EXIT_FAILURE;
   }
 
-  const double cached_ms = ms_between(c0, c1);
-  const double uncached_ms = ms_between(u0, u1);
+  const double cached_ms = bench::ms_between(c0, c1);
+  const double uncached_ms = bench::ms_between(u0, u1);
   const double speedup = uncached_ms / cached_ms;
   const double cells = static_cast<double>(plan.total_cells());
 

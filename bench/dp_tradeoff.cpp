@@ -10,7 +10,6 @@
 // Every RNG is seeded per shard (`par::shard_seed` for homes, fixed
 // per-row seeds for the Laplace draws), so the tables are bitwise
 // identical at any PMIOT_THREADS.
-#include <chrono>
 #include <cstdint>
 #include <iostream>
 #include <vector>
@@ -27,12 +26,6 @@
 using namespace pmiot;
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double ms_between(Clock::time_point t0, Clock::time_point t1) {
-  return std::chrono::duration<double, std::milli>(t1 - t0).count();
-}
 
 /// One computed epsilon row, slot-written by the parallel sweep and
 /// rendered into the table serially afterwards.
@@ -63,7 +56,7 @@ int main() {
   // Simulate the neighborhood in parallel. Each home draws from its own
   // shard-seeded stream, so the hourly columns do not depend on how the
   // pool interleaves the work.
-  const auto sim_t0 = Clock::now();
+  const auto sim_t0 = bench::Clock::now();
   std::vector<ts::TimeSeries> hourly(kHomes);
   par::parallel_for(0, kHomes, [&](std::size_t i) {
     Rng sim_rng(par::shard_seed(kPopulationSeed, i));
@@ -71,7 +64,7 @@ int main() {
                                      kDays, sim_rng)
                     .aggregate.resample(3600);
   });
-  const double sim_ms = ms_between(sim_t0, Clock::now());
+  const double sim_ms = bench::ms_between(sim_t0, bench::Clock::now());
 
   std::cout
       << "==============================================================\n"
@@ -89,7 +82,7 @@ int main() {
   // Each epsilon row reseeds its Laplace draws, so the rows are independent
   // and slot-write cleanly under the pool.
   const std::vector<double> epsilons = {0.05, 0.1, 0.5, 1.0, 5.0, 20.0};
-  const auto sweep_t0 = Clock::now();
+  const auto sweep_t0 = bench::Clock::now();
   std::vector<EpsilonRow> rows(epsilons.size());
   par::parallel_for(0, epsilons.size(), [&](std::size_t i) {
     const double epsilon = epsilons[i];
@@ -108,7 +101,7 @@ int main() {
     rows[i] = {epsilon, defense::aggregate_error(hourly, released),
                report.mcc, report.accuracy};
   });
-  const double sweep_ms = ms_between(sweep_t0, Clock::now());
+  const double sweep_ms = bench::ms_between(sweep_t0, bench::Clock::now());
 
   Table table({"epsilon", "aggregate rel. error", "single-home NIOM MCC",
                "single-home NIOM acc"});

@@ -13,7 +13,6 @@
 // Acceptance bar: >= 10x speedup. A second, factored-only timing runs at
 // K = 4096 — a size where the naive decoder's joint table alone would be
 // 128 MiB — to pin the cost of the raised state-space cap.
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -29,12 +28,6 @@
 using namespace pmiot;
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double ms_between(Clock::time_point t0, Clock::time_point t1) {
-  return std::chrono::duration<double, std::milli>(t1 - t0).count();
-}
 
 /// Sticky n-state appliance chain with distinct, well-separated powers.
 ml::ApplianceChain make_chain(const std::string& name, std::size_t n,
@@ -123,16 +116,16 @@ int main() {
             << ", factored K*sum n_c = "
             << fhmm.joint_state_count() * fanin_sum(chains) << "\n\n";
 
-  const auto f0 = Clock::now();
+  const auto f0 = bench::Clock::now();
   const auto factored = fhmm.decode(aggregate);
-  const auto f1 = Clock::now();
+  const auto f1 = bench::Clock::now();
   std::cout << "factored decode done, validating against naive reference "
                "(this is the slow part)...\n";
   ml::FhmmDecodeOptions naive_options;
   naive_options.algorithm = ml::FhmmDecodeAlgorithm::kNaiveJoint;
-  const auto n0 = Clock::now();
+  const auto n0 = bench::Clock::now();
   const auto naive = fhmm.decode(aggregate, naive_options);
-  const auto n1 = Clock::now();
+  const auto n1 = bench::Clock::now();
 
   // Self-check before any timing claims: identical decoded paths, and
   // log-likelihoods equal up to summation-order rounding.
@@ -155,8 +148,8 @@ int main() {
   std::cout << "self-check OK: decoded paths identical over " << kTrace
             << " timesteps, log-likelihood matches to rounding\n\n";
 
-  const double naive_ms = ms_between(n0, n1);
-  const double factored_ms = ms_between(f0, f1);
+  const double naive_ms = bench::ms_between(n0, n1);
+  const double factored_ms = bench::ms_between(f0, f1);
   const double speedup = naive_ms / factored_ms;
 
   // --- K = 4096: beyond the seed's cap, factored only -----------------------
@@ -168,10 +161,10 @@ int main() {
   }
   const auto big_aggregate = sample_aggregate(big_chains, kTrace, kNoise, rng2);
   ml::FactorialHmm big(big_chains, kNoise);
-  const auto b0 = Clock::now();
+  const auto b0 = bench::Clock::now();
   const auto big_decoding = big.decode(big_aggregate);
-  const auto b1 = Clock::now();
-  const double big_ms = ms_between(b0, b1);
+  const auto b1 = bench::Clock::now();
+  const double big_ms = bench::ms_between(b0, b1);
   if (big_decoding.joint_path.size() != kTrace) {
     std::cerr << "K=4096 decode returned wrong path length\n";
     return EXIT_FAILURE;
@@ -242,41 +235,42 @@ int main() {
     }
 
     double sink = 0.0;
-    const auto es0 = Clock::now();
+    const auto es0 = bench::Clock::now();
     for (int r = 0; r < kReps; ++r) {
       simd::scalar::add_log_emission(base.data(), 3.2 + 1e-9 * r,
                                      centers.data(), kStates, -1.1, 0.8,
                                      out_b.data());
       sink += out_b[static_cast<std::size_t>(r) % kStates];
     }
-    const auto es1 = Clock::now();
-    const auto ev0 = Clock::now();
+    const auto es1 = bench::Clock::now();
+    const auto ev0 = bench::Clock::now();
     for (int r = 0; r < kReps; ++r) {
       simd::add_log_emission(base.data(), 3.2 + 1e-9 * r, centers.data(),
                              kStates, -1.1, 0.8, out_a.data());
       sink += out_a[static_cast<std::size_t>(r) % kStates];
     }
-    const auto ev1 = Clock::now();
+    const auto ev1 = bench::Clock::now();
 
-    const auto ss0 = Clock::now();
+    const auto ss0 = bench::Clock::now();
     for (int r = 0; r < kReps; ++r) {
       simd::scalar::fhmm_stage_group(cur.data(), origin.data(), lt.data(),
                                      kGroupN, kGroupSpan, out_b.data(),
                                      org_b.data());
       sink += out_b[static_cast<std::size_t>(r) % kStates];
     }
-    const auto ss1 = Clock::now();
-    const auto sv0 = Clock::now();
+    const auto ss1 = bench::Clock::now();
+    const auto sv0 = bench::Clock::now();
     for (int r = 0; r < kReps; ++r) {
       simd::fhmm_stage_group(cur.data(), origin.data(), lt.data(), kGroupN,
                              kGroupSpan, out_a.data(), org_a.data());
       sink += out_a[static_cast<std::size_t>(r) % kStates];
     }
-    const auto sv1 = Clock::now();
+    const auto sv1 = bench::Clock::now();
     if (!(sink == sink)) return EXIT_FAILURE;  // keep the loops live
 
-    emission_speedup = ms_between(es0, es1) / ms_between(ev0, ev1);
-    stage_speedup = ms_between(ss0, ss1) / ms_between(sv0, sv1);
+    emission_speedup =
+        bench::ms_between(es0, es1) / bench::ms_between(ev0, ev1);
+    stage_speedup = bench::ms_between(ss0, ss1) / bench::ms_between(sv0, sv1);
     std::cout << "\nsimd kernel micros (backend " << simd::backend()
               << ", K=" << kStates << "): Gaussian log-emission batch "
               << format_double(emission_speedup, 1)

@@ -13,18 +13,16 @@
 // diff the output across PMIOT_THREADS ∈ {1, 4, 16}. `--homes N` scales
 // the population (default 1000; the layer is sized for 1k–10k).
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
-#include <new>
 #include <string>
 
 #include "bench_json.h"
 #include "common/parallel.h"
 #include "common/table.h"
+#include "counting_alloc.h"
 #include "fleet/fleet_gateway.h"
 #include "ml/random_forest.h"
 #include "net/anomaly.h"
@@ -32,32 +30,6 @@
 #include "obs/metrics.h"
 
 using namespace pmiot;
-
-namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double ms_between(Clock::time_point t0, Clock::time_point t1) {
-  return std::chrono::duration<double, std::milli>(t1 - t0).count();
-}
-
-}  // namespace
-
-// Global allocation counter behind the zero-allocation self-check below.
-// Replacing `operator new` in this translation unit swaps the allocator for
-// the whole binary, so every heap allocation funnels through the counter.
-static std::atomic<std::uint64_t> g_heap_allocations{0};
-
-void* operator new(std::size_t size) {
-  g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 int main(int argc, char** argv) {
   bool self_check_only = false;
@@ -96,12 +68,12 @@ int main(int argc, char** argv) {
 
   const fleet::FleetGateway fleet(classifier, detector, options);
 
-  const auto f0 = Clock::now();
+  const auto f0 = bench::Clock::now();
   const auto batched = fleet.process_fleet();
-  const auto f1 = Clock::now();
-  const auto s0 = Clock::now();
+  const auto f1 = bench::Clock::now();
+  const auto s0 = bench::Clock::now();
   const auto serial = fleet.process_serial();
-  const auto s1 = Clock::now();
+  const auto s1 = bench::Clock::now();
 
   // Self-check before any timing claims: the batched fleet pass must match
   // the per-home serial oracle bitwise.
@@ -155,8 +127,8 @@ int main(int argc, char** argv) {
   obs::emit_if_enabled("fleet_gateway");
   if (self_check_only) return EXIT_SUCCESS;  // deterministic output only
 
-  const double fleet_ms = ms_between(f0, f1);
-  const double serial_ms = ms_between(s0, s1);
+  const double fleet_ms = bench::ms_between(f0, f1);
+  const double serial_ms = bench::ms_between(s0, s1);
   const auto threads = static_cast<double>(par::thread_count());
   // Homes one core could police in real time: each home produced
   // `duration_s` of traffic, processed in fleet_ms across `threads` cores.

@@ -6,10 +6,9 @@
 // hourly-analytics distortion, physical energy cost). This is the frontier
 // a user's privacy knob navigates.
 //
-// The intensity points of each sweep run on the worker pool via
-// `sweep_parallel`, which pre-forks the point RNGs serially so the tables
-// below are bitwise identical to the serial `sweep` at any PMIOT_THREADS.
-#include <chrono>
+// The intensity points of each sweep run on the worker pool; `sweep`
+// pre-forks the point RNGs serially, so the tables below are bitwise
+// identical at any PMIOT_THREADS.
 #include <cstdlib>
 #include <iostream>
 #include <memory>
@@ -22,16 +21,6 @@
 #include "net/arena.h"
 
 using namespace pmiot;
-
-namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double ms_between(Clock::time_point t0, Clock::time_point t1) {
-  return std::chrono::duration<double, std::milli>(t1 - t0).count();
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   // Opt-in network dimension: default output stays byte-identical so the
@@ -66,10 +55,10 @@ int main(int argc, char** argv) {
 
   for (const auto& defense : defenses) {
     Rng sweep_rng(77);
-    const auto t0 = Clock::now();
+    const auto t0 = bench::Clock::now();
     const auto frontier =
-        evaluator.sweep_parallel(*defense, home, intensities, sweep_rng);
-    const double sweep_ms = ms_between(t0, Clock::now());
+        evaluator.sweep(*defense, home, intensities, sweep_rng);
+    const double sweep_ms = bench::ms_between(t0, bench::Clock::now());
     json.result(defense->name(), sweep_ms,
                 static_cast<double>(frontier.size()) / (sweep_ms / 1e3),
                 "points/s");
@@ -109,9 +98,9 @@ int main(int argc, char** argv) {
     options.duration_s = 1800.0;
     options.window_s = 300.0;
     options.intensities = intensities;
-    const auto t0 = Clock::now();
+    const auto t0 = bench::Clock::now();
     const auto arena = net::run_arena(options);
-    const double arena_ms = ms_between(t0, Clock::now());
+    const double arena_ms = bench::ms_between(t0, bench::Clock::now());
     json.result("net_arena", arena_ms,
                 static_cast<double>(arena.cells.size()) / (arena_ms / 1e3),
                 "cells/s");

@@ -22,7 +22,6 @@
 // fit speedup. Pass --self-check to run the validation suite at small sizes
 // and skip the timing bars (used under sanitizers in CI).
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -43,12 +42,6 @@
 using namespace pmiot;
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double ms_between(Clock::time_point t0, Clock::time_point t1) {
-  return std::chrono::duration<double, std::milli>(t1 - t0).count();
-}
 
 /// Gaussian-cluster classification data: one centroid per class, the first
 /// half of the features informative, the rest pure noise.
@@ -236,15 +229,15 @@ int main(int argc, char** argv) {
   ml::ForestOptions forest_options;
   forest_options.num_trees = num_trees;
 
-  const auto r0 = Clock::now();
+  const auto r0 = bench::Clock::now();
   const auto reference = seed_forest_fit(train, num_trees, forest_options.tree,
                                          kForestSeed);
-  const auto r1 = Clock::now();
+  const auto r1 = bench::Clock::now();
 
   ml::RandomForest forest(forest_options, kForestSeed);
-  const auto f0 = Clock::now();
+  const auto f0 = bench::Clock::now();
   forest.fit(train);
-  const auto f1 = Clock::now();
+  const auto f1 = bench::Clock::now();
 
   for (const auto& row : probe.rows) {
     if (forest.predict(row) != reference.predict(row)) {
@@ -260,16 +253,16 @@ int main(int argc, char** argv) {
   ml::KnnClassifier knn(k);
   knn.fit(train);
 
-  const auto kn0 = Clock::now();
+  const auto kn0 = bench::Clock::now();
   std::vector<int> naive(probe.size());
   for (std::size_t i = 0; i < probe.size(); ++i) {
     naive[i] = seed_knn_predict(train, k, probe.rows[i]);
   }
-  const auto kn1 = Clock::now();
+  const auto kn1 = bench::Clock::now();
 
-  const auto kb0 = Clock::now();
+  const auto kb0 = bench::Clock::now();
   const auto batch = knn.predict_all(probe);
-  const auto kb1 = Clock::now();
+  const auto kb1 = bench::Clock::now();
 
   for (std::size_t i = 0; i < probe.size(); ++i) {
     if (batch[i] != knn.predict(probe.rows[i])) {
@@ -291,11 +284,11 @@ int main(int argc, char** argv) {
     return EXIT_SUCCESS;
   }
 
-  const double ref_ms = ms_between(r0, r1);
-  const double fit_ms = ms_between(f0, f1);
+  const double ref_ms = bench::ms_between(r0, r1);
+  const double fit_ms = bench::ms_between(f0, f1);
   const double forest_speedup = ref_ms / fit_ms;
-  const double knn_naive_ms = ms_between(kn0, kn1);
-  const double knn_batch_ms = ms_between(kb0, kb1);
+  const double knn_naive_ms = bench::ms_between(kn0, kn1);
+  const double knn_batch_ms = bench::ms_between(kb0, kb1);
   const double knn_speedup = knn_naive_ms / knn_batch_ms;
 
   const double trees_total = static_cast<double>(num_trees);
@@ -359,7 +352,7 @@ int main(int argc, char** argv) {
 
     constexpr int kReps = 2000;
     double sink = 0.0;
-    const auto ts0 = Clock::now();
+    const auto ts0 = bench::Clock::now();
     for (int r = 0; r < kReps; ++r) {
       const auto& q = probe.rows[static_cast<std::size_t>(r) % probe.size()];
       double qq = 0.0;
@@ -368,8 +361,8 @@ int main(int argc, char** argv) {
                                    norm2.data(), out_b.data());
       sink += out_b[static_cast<std::size_t>(r) % rows];
     }
-    const auto ts1 = Clock::now();
-    const auto tv0 = Clock::now();
+    const auto ts1 = bench::Clock::now();
+    const auto tv0 = bench::Clock::now();
     for (int r = 0; r < kReps; ++r) {
       const auto& q = probe.rows[static_cast<std::size_t>(r) % probe.size()];
       double qq = 0.0;
@@ -378,10 +371,11 @@ int main(int argc, char** argv) {
                            out_a.data());
       sink += out_a[static_cast<std::size_t>(r) % rows];
     }
-    const auto tv1 = Clock::now();
+    const auto tv1 = bench::Clock::now();
     if (!(sink == sink)) return EXIT_FAILURE;  // keep the loops live
 
-    knn_tile_speedup = ms_between(ts0, ts1) / ms_between(tv0, tv1);
+    knn_tile_speedup =
+        bench::ms_between(ts0, ts1) / bench::ms_between(tv0, tv1);
     std::cout << "simd kNN tile kernel (backend " << simd::backend() << ", "
               << rows << " x " << d << "): "
               << format_double(knn_tile_speedup, 1) << "x vs scalar\n";

@@ -17,7 +17,6 @@
 // Timed mode then runs the reference grid and records wall time,
 // cell throughput, and the per-defense privacy/utility readout in
 // BENCH_net_defense_arena.json.
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <iostream>
@@ -36,12 +35,6 @@
 using namespace pmiot;
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double ms_between(Clock::time_point t0, Clock::time_point t1) {
-  return std::chrono::duration<double, std::milli>(t1 - t0).count();
-}
 
 int fail(const std::string& what) {
   std::cerr << "MISMATCH: " << what << '\n';
@@ -196,10 +189,10 @@ int timed_run() {
   options.duration_s = 3600.0;
   options.intensities = {0.0, 0.35, 0.7, 1.0};
 
-  const auto t0 = Clock::now();
+  const auto t0 = bench::Clock::now();
   const auto result = net::run_arena(options);
-  const auto t1 = Clock::now();
-  const double wall_ms = ms_between(t0, t1);
+  const auto t1 = bench::Clock::now();
+  const double wall_ms = bench::ms_between(t0, t1);
   const double cells = static_cast<double>(result.cells.size());
 
   std::printf("\narena: %zu cells in %.0f ms (%.2f cells/s)\n",

@@ -34,8 +34,6 @@ using namespace pmiot;
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
 // Sanitizer instrumentation skews the two paths' relative cost, so the
 // speedup bar is only enforced in uninstrumented builds (the bitwise
 // equivalence checks always are).
@@ -51,7 +49,7 @@ constexpr bool kInstrumented = false;
 constexpr bool kInstrumented = false;
 #endif
 
-double seconds(Clock::time_point t0, Clock::time_point t1) {
+double seconds(bench::Clock::time_point t0, bench::Clock::time_point t1) {
   return std::chrono::duration<double>(t1 - t0).count();
 }
 
@@ -273,14 +271,14 @@ int main() {
   double legacy_sink = 0.0;  // keep the optimizer honest
   for (int rep = 0; rep < kReps; ++rep) {
     legacy_sink = 0.0;
-    const auto s0 = Clock::now();
+    const auto s0 = bench::Clock::now();
     for (std::size_t w = 0; w < num_windows; ++w) {
       const auto f = legacy::extract_window_features(
           packets, device_ip, static_cast<double>(w) * window_s,
           static_cast<double>(w + 1) * window_s);
       legacy_sink += f[0];
     }
-    const auto s1 = Clock::now();
+    const auto s1 = bench::Clock::now();
     if (rep == 0 || seconds(s0, s1) < legacy_s) legacy_s = seconds(s0, s1);
   }
 
@@ -288,25 +286,25 @@ int main() {
   std::vector<net::WindowRow> rescan;
   for (int rep = 0; rep < kReps; ++rep) {
     rescan.clear();
-    const auto t0 = Clock::now();
+    const auto t0 = bench::Clock::now();
     for (std::size_t w = 0; w < num_windows; ++w) {
       auto f = net::extract_window_features(
           packets, device_ip, static_cast<double>(w) * window_s,
           static_cast<double>(w + 1) * window_s);
       rescan.push_back(net::WindowRow{w, std::move(f)});
     }
-    const auto t1 = Clock::now();
+    const auto t1 = bench::Clock::now();
     if (rep == 0 || seconds(t0, t1) < rescan_s) rescan_s = seconds(t0, t1);
   }
 
   double stream_s = 0.0;
   std::vector<net::WindowRow> streamed;
   for (int rep = 0; rep < kReps; ++rep) {
-    const auto t1 = Clock::now();
+    const auto t1 = bench::Clock::now();
     streamed = net::windowed_features(packets, device_ip, duration_s,
                                       window_s,
                                       /*keep_idle_windows=*/true);
-    const auto t2 = Clock::now();
+    const auto t2 = bench::Clock::now();
     if (rep == 0 || seconds(t1, t2) < stream_s) stream_s = seconds(t1, t2);
   }
   if (legacy_sink <= 0.0) {
@@ -369,14 +367,14 @@ int main() {
   }
   const auto per_day = load.samples_per_day();
 
-  const auto b0 = Clock::now();
+  const auto b0 = bench::Clock::now();
   std::vector<double> naive(load.size());
   for (std::size_t t = 0; t < load.size(); ++t) {
     const std::size_t day_first = (t / per_day) * per_day;
     const std::size_t day_len = std::min(per_day, load.size() - day_first);
     naive[t] = stats::mean(load.values().subspan(day_first, day_len));
   }
-  const auto b1 = Clock::now();
+  const auto b1 = bench::Clock::now();
   std::vector<double> hoisted(load.size());
   double target = 0.0;
   for (std::size_t t = 0; t < load.size(); ++t) {
@@ -386,7 +384,7 @@ int main() {
     }
     hoisted[t] = target;
   }
-  const auto b2 = Clock::now();
+  const auto b2 = bench::Clock::now();
   for (std::size_t t = 0; t < load.size(); ++t) {
     if (naive[t] != hoisted[t]) {
       std::cerr << "MISMATCH: daily targets diverge at sample " << t << '\n';

@@ -13,7 +13,6 @@
 // builds and PMIOT_THREADS settings, so any backend that deviates from the
 // scalar reduction order fails the diff.
 #include <bit>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -35,12 +34,6 @@
 using namespace pmiot;
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double ms_between(Clock::time_point t0, Clock::time_point t1) {
-  return std::chrono::duration<double, std::milli>(t1 - t0).count();
-}
 
 /// Synthetic whole-home trace: daily load shape plus appliance-like spikes,
 /// deterministic in the seed.
@@ -87,12 +80,12 @@ int main(int argc, char** argv) {
   const std::string csv_path = "trace_io_bench.csv";
   const std::string bin_path = "trace_io_bench.pmiotbt";
 
-  const auto cw0 = Clock::now();
+  const auto cw0 = bench::Clock::now();
   ts::save_csv(csv_path, series);
-  const auto cw1 = Clock::now();
-  const auto bw0 = Clock::now();
+  const auto cw1 = bench::Clock::now();
+  const auto bw0 = bench::Clock::now();
   ts::save_binary(bin_path, series);
-  const auto bw1 = Clock::now();
+  const auto bw1 = bench::Clock::now();
 
   // --- Self-checks before any timing claim -------------------------------
   // 1. Binary round-trip is bit-exact.
@@ -132,13 +125,13 @@ int main(int argc, char** argv) {
   //    over the mapping equals the scalar reference bit-for-bit. Printing
   //    the raw bits pins the deterministic-reduction contract across
   //    PMIOT_SIMD ON/OFF builds in the CI diff.
-  const auto v0 = Clock::now();
+  const auto v0 = bench::Clock::now();
   double view_sum = 0.0;
   {
     const ts::TraceView view(bin_path);
     view_sum = simd::strided_sum(view.values().data(), view.size());
   }
-  const auto v1 = Clock::now();
+  const auto v1 = bench::Clock::now();
   const double ref_sum =
       simd::scalar::strided_sum(series.values().data(), series.size());
   if (std::bit_cast<std::uint64_t>(view_sum) !=
@@ -160,18 +153,18 @@ int main(int argc, char** argv) {
   }
 
   // --- Timed ingest paths ------------------------------------------------
-  const auto cr0 = Clock::now();
+  const auto cr0 = bench::Clock::now();
   const ts::TimeSeries csv_loaded = ts::load_csv(csv_path);
-  const auto cr1 = Clock::now();
-  const auto br0 = Clock::now();
+  const auto cr1 = bench::Clock::now();
+  const auto br0 = bench::Clock::now();
   const ts::TimeSeries bin_loaded = ts::load_binary(bin_path);
-  const auto br1 = Clock::now();
+  const auto br1 = bench::Clock::now();
 
-  const double csv_write_ms = ms_between(cw0, cw1);
-  const double bin_write_ms = ms_between(bw0, bw1);
-  const double csv_read_ms = ms_between(cr0, cr1);
-  const double bin_read_ms = ms_between(br0, br1);
-  const double view_ms = ms_between(v0, v1);
+  const double csv_write_ms = bench::ms_between(cw0, cw1);
+  const double bin_write_ms = bench::ms_between(bw0, bw1);
+  const double csv_read_ms = bench::ms_between(cr0, cr1);
+  const double bin_read_ms = bench::ms_between(br0, br1);
+  const double view_ms = bench::ms_between(v0, v1);
   const auto n = static_cast<double>(samples);
   const double ingest_speedup = csv_read_ms / bin_read_ms;
   const double view_speedup = csv_read_ms / view_ms;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <functional>
 #include <limits>
 #include <numeric>
 
@@ -15,12 +14,6 @@
 
 namespace pmiot::ml {
 namespace {
-
-obs::Counter& joint_states_pruned_counter() {
-  static obs::Counter& c = obs::MetricsRegistry::instance().counter(
-      "ml.fhmm.joint_states_pruned");
-  return c;
-}
 
 obs::Counter& chain_eliminations_counter() {
   static obs::Counter& c = obs::MetricsRegistry::instance().counter(
@@ -35,34 +28,6 @@ constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 /// reference decoder, and only while they stay small (2048^2 doubles =
 /// 32 MiB); beyond that the reference sums per-chain tables on the fly.
 constexpr std::size_t kNaivePrecomputeMax = 2048;
-
-/// Keeps the `beam` highest entries of `delta` and masks the rest to -inf.
-/// Deterministic under ties: entries strictly above the cutoff all survive,
-/// then entries equal to the cutoff survive in ascending joint-id order
-/// until exactly `beam` remain.
-void prune_to_beam(std::vector<double>& delta, std::size_t beam,
-                   std::vector<double>& scratch) {
-  if (beam == 0 || beam >= delta.size()) return;
-  scratch = delta;
-  std::nth_element(scratch.begin(),
-                   scratch.begin() + static_cast<long>(beam) - 1,
-                   scratch.end(), std::greater<double>());
-  const double cutoff = scratch[beam - 1];
-  std::size_t above = 0;
-  for (double v : delta) above += v > cutoff ? 1 : 0;
-  std::size_t keep_at_cutoff = beam - above;
-  std::uint64_t pruned = 0;
-  for (auto& v : delta) {
-    if (v > cutoff) continue;
-    if (v == cutoff && keep_at_cutoff > 0) {
-      --keep_at_cutoff;
-      continue;
-    }
-    v = kNegInf;
-    ++pruned;
-  }
-  joint_states_pruned_counter().add(pruned);
-}
 
 }  // namespace
 
@@ -201,9 +166,9 @@ FhmmDecoding FactorialHmm::decode(std::span<const double> aggregate,
                                   FhmmDecodeOptions options) const {
   PMIOT_CHECK(!aggregate.empty(), "need observations");
   if (options.algorithm == FhmmDecodeAlgorithm::kNaiveJoint) {
-    return decode_naive(aggregate, options);
+    return decode_naive(aggregate);
   }
-  return decode_factored(aggregate, options);
+  return decode_factored(aggregate);
 }
 
 FhmmDecoding FactorialHmm::backtrack(
@@ -242,8 +207,8 @@ FhmmDecoding FactorialHmm::backtrack(
 // tables instead of log() calls in the inner loop) and the joint table is
 // stored transposed so the scan over `a` is sequential — none of which
 // changes any compared value or comparison order.
-FhmmDecoding FactorialHmm::decode_naive(std::span<const double> aggregate,
-                                        const FhmmDecodeOptions& options) const {
+FhmmDecoding FactorialHmm::decode_naive(
+    std::span<const double> aggregate) const {
   const std::size_t k = joint_count_;
   const std::size_t t_max = aggregate.size();
   const std::size_t num_chains = chains_.size();
@@ -291,14 +256,12 @@ FhmmDecoding FactorialHmm::decode_naive(std::span<const double> aggregate,
 
   std::vector<double> delta(k);
   std::vector<double> next_delta(k);
-  std::vector<double> beam_scratch;
   std::vector<std::int32_t> psi(t_max * k, 0);
 
   for (std::size_t j = 0; j < k; ++j) {
     delta[j] = log_init[j] + emission_log(j, aggregate[0]);
   }
   for (std::size_t t = 1; t < t_max; ++t) {
-    prune_to_beam(delta, options.beam_width, beam_scratch);
     for (std::size_t b = 0; b < k; ++b) {
       const double* row = precompute ? log_trans_t.data() + b * k : nullptr;
       const std::int32_t* ub = unpacked.data() + b * num_chains;
@@ -348,7 +311,7 @@ FhmmDecoding FactorialHmm::decode_naive(std::span<const double> aggregate,
 // set — i.e. exact ties resolve to the lowest joint id, matching the naive
 // reference's first-index-wins scan.
 FhmmDecoding FactorialHmm::decode_factored(
-    std::span<const double> aggregate, const FhmmDecodeOptions& options) const {
+    std::span<const double> aggregate) const {
   static obs::Timer& decode_timer =
       obs::MetricsRegistry::instance().timer("ml.fhmm.decode_factored");
   obs::ScopedTimer span(decode_timer);
@@ -390,7 +353,6 @@ FhmmDecoding FactorialHmm::decode_factored(
   std::vector<double> next_delta(k);
   std::vector<double> cur(k), nxt(k);
   std::vector<std::int32_t> cur_origin(k), nxt_origin(k);
-  std::vector<double> beam_scratch;
   std::vector<std::int32_t> psi(t_max * k, 0);
 
   // delta[j] = log_init[j] + (log_norm - d*d*inv_2var), d = obs -
@@ -399,7 +361,6 @@ FhmmDecoding FactorialHmm::decode_factored(
   simd::add_log_emission(log_init.data(), aggregate[0], joint_power_.data(),
                          k, log_norm, inv_2var, delta.data());
   for (std::size_t t = 1; t < t_max; ++t) {
-    prune_to_beam(delta, options.beam_width, beam_scratch);
     std::copy(delta.begin(), delta.end(), cur.begin());
     std::iota(cur_origin.begin(), cur_origin.end(), 0);
     for (std::size_t c = num_chains; c-- > 0;) {

@@ -64,12 +64,6 @@ enum class FhmmDecodeAlgorithm {
 
 struct FhmmDecodeOptions {
   FhmmDecodeAlgorithm algorithm = FhmmDecodeAlgorithm::kFactored;
-  /// 0 (or >= joint_state_count()) decodes exactly. Otherwise only the
-  /// `beam_width` highest-scoring joint states survive each timestep
-  /// (deterministic: ties at the cutoff keep the lowest joint ids), which
-  /// bounds work growth for very large state spaces at the cost of
-  /// exactness. Applies to both algorithms.
-  std::size_t beam_width = 0;
 };
 
 class FactorialHmm {
@@ -92,8 +86,8 @@ class FactorialHmm {
 
   /// Viterbi decode of an aggregate trace. The default factored algorithm
   /// costs O(T * K * sum_c n_c); pass options to select the naive O(T * K^2)
-  /// reference or an approximate beam. Both algorithms break score ties
-  /// toward the lowest joint state id, so their decoded paths coincide.
+  /// reference. Both algorithms break score ties toward the lowest joint
+  /// state id, so their decoded paths coincide.
   FhmmDecoding decode(std::span<const double> aggregate,
                       FhmmDecodeOptions options = {}) const;
 
@@ -108,10 +102,8 @@ class FactorialHmm {
   void chain_log_transitions(std::vector<double>& flat,
                              std::vector<std::size_t>& offsets) const;
 
-  FhmmDecoding decode_naive(std::span<const double> aggregate,
-                            const FhmmDecodeOptions& options) const;
-  FhmmDecoding decode_factored(std::span<const double> aggregate,
-                               const FhmmDecodeOptions& options) const;
+  FhmmDecoding decode_naive(std::span<const double> aggregate) const;
+  FhmmDecoding decode_factored(std::span<const double> aggregate) const;
 
   /// Shared epilogue: backtracks `psi` from the best final state and fills
   /// the decoding result from the flat unpack table.

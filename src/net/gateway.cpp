@@ -1,11 +1,11 @@
 #include "net/gateway.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/error.h"
 #include "common/table.h"
 #include "net/features.h"
+#include "net/window_accumulator.h"
 #include "obs/metrics.h"
 
 namespace pmiot::net {
@@ -36,6 +36,14 @@ bool quarantine_exempt(const Packet& p) {
   return p.protocol == Protocol::kUdp && p.dst_port == 53;
 }
 
+/// Full windows in a capture: the feature path's `full_window_count`, so
+/// every stage agrees on the last window. Throws for a non-positive or
+/// non-finite duration.
+std::size_t capture_windows(double duration_s, double window_s) {
+  PMIOT_CHECK(duration_s > 0.0, "duration must be positive");
+  return full_window_count(duration_s, window_s);
+}
+
 }  // namespace
 
 const char* to_string(Zone zone) {
@@ -62,14 +70,9 @@ void SmartGateway::register_device(std::uint32_t ip, std::string name) {
   devices_[ip] = std::move(name);
 }
 
-int SmartGateway::window_count(double duration_s) const {
-  PMIOT_CHECK(duration_s > 0.0, "duration must be positive");
-  return static_cast<int>(std::floor(duration_s / options_.window_s));
-}
-
 std::vector<DeviceRows> SmartGateway::extract_rows(
     std::span<const Packet> packets, double duration_s) const {
-  const int windows = window_count(duration_s);
+  const std::size_t windows = capture_windows(duration_s, options_.window_s);
   std::vector<DeviceRows> out;
   out.reserve(devices_.size());
   for (const auto& [ip, name] : devices_) {
@@ -90,7 +93,7 @@ std::vector<DeviceRows> SmartGateway::extract_rows(
 
 std::vector<PolicyCounts> SmartGateway::policy_counts(
     std::span<const Packet> packets, double duration_s) const {
-  const auto windows = static_cast<std::size_t>(window_count(duration_s));
+  const std::size_t windows = capture_windows(duration_s, options_.window_s);
 
   std::map<std::uint32_t, std::size_t> index;
   std::vector<PolicyCounts> out(devices_.size());
@@ -111,8 +114,8 @@ std::vector<PolicyCounts> SmartGateway::policy_counts(
     if (lateral) ++pc.lateral_total;
     if (quarantine_exempt(p)) continue;
     // Largest boundary index k in [0, windows] with timestamp >= k *
-    // window_s, using the same `int * double` boundary arithmetic as the
-    // replay's quarantine timestamps so the bucket test is exact.
+    // window_s, using the same `index * window_s` boundary arithmetic as
+    // the replay's quarantine timestamps so the bucket test is exact.
     std::size_t k = 0;
     if (p.timestamp_s > 0.0) {
       k = std::min(windows,
@@ -149,13 +152,13 @@ GatewayReport SmartGateway::replay(
   PMIOT_CHECK(devices.size() == predictions.size() &&
                   devices.size() == counts.size(),
               "devices/predictions/counts must align");
-  const int windows = window_count(duration_s);
+  const std::size_t windows = capture_windows(duration_s, options_.window_s);
 
   struct State {
     int consecutive_anomalous = 0;
     Zone zone = Zone::kIot;
     double quarantined_at = -1.0;
-    int quarantined_window = -1;  ///< boundary index: quarantined_at / window_s
+    std::size_t quarantined_window = 0;  ///< quarantined_at / window_s
     double max_score = 0.0;
     std::vector<int> type_votes;
   };
@@ -167,18 +170,14 @@ GatewayReport SmartGateway::replay(
   }
 
   GatewayReport report;
-  for (int w = 0; w < windows; ++w) {
-    const double t1 = (w + 1) * options_.window_s;
+  for (std::size_t w = 0; w < windows; ++w) {
+    const double t1 = static_cast<double>(w + 1) * options_.window_s;
     for (std::size_t i = 0; i < devices.size(); ++i) {
       auto& st = state[i];
       const auto& rows = devices[i].rows;
       auto& next = cursor[i];
-      while (next < rows.size() &&
-             rows[next].window_index < static_cast<std::size_t>(w)) {
-        ++next;
-      }
-      if (next >= rows.size() ||
-          rows[next].window_index != static_cast<std::size_t>(w)) {
+      while (next < rows.size() && rows[next].window_index < w) ++next;
+      if (next >= rows.size() || rows[next].window_index != w) {
         continue;  // silent window
       }
       const auto& features = rows[next].features;
@@ -226,7 +225,7 @@ GatewayReport SmartGateway::replay(
     // DNS), lateral blocking on what the quarantine stage let through —
     // the counters are mutually exclusive by construction.
     if (st.zone == Zone::kQuarantined) {
-      const auto k = static_cast<std::size_t>(st.quarantined_window);
+      const std::size_t k = st.quarantined_window;
       report.quarantine_packets_dropped += pc.nonexempt_from[k];
       report.lateral_packets_blocked +=
           pc.lateral_total - pc.lateral_nonexempt_from[k];

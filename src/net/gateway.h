@@ -128,9 +128,6 @@ class SmartGateway {
   GatewayReport process(std::span<const Packet> packets,
                         double duration_s) const;
 
-  /// Number of full observation windows in a capture of `duration_s`.
-  int window_count(double duration_s) const;
-
   // --- staged API (used by process() and by pmiot::fleet) -----------------
 
   /// Stage 1: windowed feature rows per registered device, in registration

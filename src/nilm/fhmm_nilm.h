@@ -22,7 +22,7 @@ struct FhmmNilmOptions {
   int states_per_appliance = 2;
   /// Floor on the assumed aggregate observation noise (kW).
   double min_noise_kw = 0.05;
-  /// Decoder configuration (algorithm choice, beam width) forwarded to
+  /// Decoder configuration (algorithm choice) forwarded to
   /// every `disaggregate` call. Defaults to the exact factored decoder.
   ml::FhmmDecodeOptions decode;
 };

@@ -9,9 +9,7 @@
 #include <memory>
 #include <mutex>
 #include <sstream>
-#include <utility>
 
-#include "common/error.h"
 #include "common/parallel.h"
 
 namespace pmiot::obs {
@@ -38,19 +36,10 @@ void set_enabled_for_testing(bool on) noexcept {
 
 namespace {
 
-// Per-shard accumulation cell. Each cell is written by exactly one thread
-// at a time (the thread running that shard); vectors grow on demand so
-// metrics registered mid-batch still work.
-struct Cell {
-  struct HistCell {
-    std::vector<std::uint64_t> buckets;  // empty => this histogram unused
-    double sum = 0.0;
-    std::uint64_t count = 0;
-  };
-
-  std::vector<std::uint64_t> counters;  // indexed by counter id
-  std::vector<HistCell> hists;          // indexed by histogram id
-};
+// Per-shard accumulation cell: counter deltas indexed by counter id. Each
+// cell is written by exactly one thread at a time (the thread running that
+// shard); it grows on demand so counters registered mid-batch still work.
+using Cell = std::vector<std::uint64_t>;
 
 // Cell for the shard the current thread is executing, or nullptr outside
 // a batch (increments then go straight to the registry totals).
@@ -74,11 +63,8 @@ struct MetricsRegistry::Impl final : par::BatchObserver {
   // std::map keeps addresses stable for the life of the process and
   // iterates in name order, which is what snapshots emit.
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters;
-  std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges;
-  std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms;
   std::map<std::string, std::unique_ptr<Timer>, std::less<>> timers;
   std::vector<Counter*> counters_by_id;
-  std::vector<Histogram*> hists_by_id;
 
   // Batch-shape counters fed by the observer hooks (registered in the
   // MetricsRegistry constructor, so never null once hooks can fire).
@@ -127,19 +113,9 @@ struct MetricsRegistry::Impl final : par::BatchObserver {
     std::lock_guard<std::mutex> lock(mu);
     for (const auto& cell : ctx->cells) {
       if (cell == nullptr) continue;  // shard recorded nothing
-      for (std::size_t id = 0; id < cell->counters.size(); ++id) {
-        counters_by_id[id]->value_.fetch_add(cell->counters[id],
+      for (std::size_t id = 0; id < cell->size(); ++id) {
+        counters_by_id[id]->value_.fetch_add((*cell)[id],
                                              std::memory_order_relaxed);
-      }
-      for (std::size_t id = 0; id < cell->hists.size(); ++id) {
-        const Cell::HistCell& h = cell->hists[id];
-        if (h.buckets.empty()) continue;
-        Histogram* hist = hists_by_id[id];
-        for (std::size_t b = 0; b < h.buckets.size(); ++b) {
-          hist->buckets_[b] += h.buckets[b];
-        }
-        hist->sum_ += h.sum;
-        hist->count_ += h.count;
       }
     }
   }
@@ -153,48 +129,13 @@ struct MetricsRegistry::Impl final : par::BatchObserver {
 // discard the whole batch's cells: counters observe either all of a
 // successful batch or none of a failed one, at every pool width.
 
-namespace {
-
-Cell::HistCell& cell_hist(Cell& cell, std::size_t id,
-                          std::size_t num_buckets) {
-  if (cell.hists.size() <= id) cell.hists.resize(id + 1);
-  Cell::HistCell& h = cell.hists[id];
-  if (h.buckets.empty()) h.buckets.resize(num_buckets, 0);
-  return h;
-}
-
-}  // namespace
-
 void Counter::add_enabled(std::uint64_t delta) noexcept {
   if (Cell* cell = tls_cell; cell != nullptr) {
-    if (cell->counters.size() <= id_) cell->counters.resize(id_ + 1, 0);
-    cell->counters[id_] += delta;
+    if (cell->size() <= id_) cell->resize(id_ + 1, 0);
+    (*cell)[id_] += delta;
     return;
   }
   value_.fetch_add(delta, std::memory_order_relaxed);
-}
-
-Histogram::Histogram(std::size_t id, std::vector<double> edges)
-    : id_(id), edges_(std::move(edges)), buckets_(edges_.size() + 1, 0) {
-  PMIOT_CHECK(std::is_sorted(edges_.begin(), edges_.end()),
-              "histogram edges must be ascending");
-}
-
-void Histogram::observe_enabled(double v) {
-  const std::size_t bucket = static_cast<std::size_t>(
-      std::lower_bound(edges_.begin(), edges_.end(), v) - edges_.begin());
-  if (Cell* cell = tls_cell; cell != nullptr) {
-    Cell::HistCell& h = cell_hist(*cell, id_, buckets_.size());
-    ++h.buckets[bucket];
-    h.sum += v;
-    ++h.count;
-    return;
-  }
-  MetricsRegistry::Impl* impl = MetricsRegistry::instance().impl_;
-  std::lock_guard<std::mutex> lock(impl->mu);
-  ++buckets_[bucket];
-  sum_ += v;
-  ++count_;
 }
 
 void Timer::record_ns(std::uint64_t ns) noexcept {
@@ -261,36 +202,6 @@ Counter& MetricsRegistry::counter(std::string_view name) {
   return *it->second;
 }
 
-Gauge& MetricsRegistry::gauge(std::string_view name) {
-  std::lock_guard<std::mutex> lock(impl_->mu);
-  auto it = impl_->gauges.find(name);
-  if (it == impl_->gauges.end()) {
-    it = impl_->gauges
-             .emplace(std::string(name), std::unique_ptr<Gauge>(new Gauge))
-             .first;
-  }
-  return *it->second;
-}
-
-Histogram& MetricsRegistry::histogram(std::string_view name,
-                                      std::vector<double> edges) {
-  std::lock_guard<std::mutex> lock(impl_->mu);
-  auto it = impl_->histograms.find(name);
-  if (it == impl_->histograms.end()) {
-    const std::size_t id = impl_->hists_by_id.size();
-    it = impl_->histograms
-             .emplace(std::string(name), std::unique_ptr<Histogram>(
-                                             new Histogram(id, std::move(edges))))
-             .first;
-    impl_->hists_by_id.push_back(it->second.get());
-  } else {
-    PMIOT_CHECK(it->second->edges_ == edges,
-                "histogram re-registered with different edges: " +
-                    std::string(name));
-  }
-  return *it->second;
-}
-
 Timer& MetricsRegistry::timer(std::string_view name) {
   std::lock_guard<std::mutex> lock(impl_->mu);
   auto it = impl_->timers.find(name);
@@ -308,13 +219,6 @@ Snapshot MetricsRegistry::snapshot(const SnapshotOptions& opts) const {
   std::lock_guard<std::mutex> lock(impl_->mu);
   for (const auto& [name, c] : impl_->counters) {
     snap.counters.push_back({name, c->value()});
-  }
-  for (const auto& [name, g] : impl_->gauges) {
-    snap.gauges.push_back({name, g->value()});
-  }
-  for (const auto& [name, h] : impl_->histograms) {
-    snap.histograms.push_back(
-        {name, h->edges_, h->buckets_, h->sum_, h->count_});
   }
   if (!opts.include_nondeterministic) return snap;
   for (const auto& [name, t] : impl_->timers) {
@@ -339,14 +243,6 @@ void MetricsRegistry::reset_values_for_testing() {
   for (auto& [name, c] : impl_->counters) {
     c->value_.store(0, std::memory_order_relaxed);
   }
-  for (auto& [name, g] : impl_->gauges) {
-    g->value_.store(0, std::memory_order_relaxed);
-  }
-  for (auto& [name, h] : impl_->histograms) {
-    std::fill(h->buckets_.begin(), h->buckets_.end(), 0);
-    h->sum_ = 0.0;
-    h->count_ = 0;
-  }
   for (auto& [name, t] : impl_->timers) {
     t->count_.store(0, std::memory_order_relaxed);
     t->total_ns_.store(0, std::memory_order_relaxed);
@@ -358,24 +254,22 @@ void MetricsRegistry::reset_values_for_testing() {
 }
 
 // --- emitters -------------------------------------------------------------
-// Mirrors bench/bench_json.h conventions (escaping, precision-12 numbers,
-// null for non-finite doubles); src/ cannot include bench/ headers.
 
-namespace {
-
-std::string json_escape(const std::string& s) {
+std::string json_escape(std::string_view s) {
   std::string out;
   out.reserve(s.size() + 2);
-  for (char c : s) {
+  for (const char c : s) {
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
       case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
           char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
+          std::snprintf(buf, sizeof buf, "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
           out += buf;
         } else {
           out += c;
@@ -385,13 +279,13 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
-std::string json_number(double v) {
-  if (!(v == v) || v > 1.7e308 || v < -1.7e308) return "null";  // nan/inf
-  std::ostringstream os;
-  os.precision(12);
-  os << v;
-  return os.str();
+std::string artifact_path(std::string_view file) {
+  const char* dir = std::getenv("PMIOT_BENCH_DIR");
+  if (dir == nullptr || *dir == '\0') return std::string(file);
+  return std::string(dir) + "/" + std::string(file);
 }
+
+namespace {
 
 void text_counters(std::ostringstream& os,
                    const std::vector<Snapshot::CounterValue>& counters) {
@@ -405,18 +299,6 @@ void text_counters(std::ostringstream& os,
 std::string to_text(const Snapshot& snap) {
   std::ostringstream os;
   text_counters(os, snap.counters);
-  for (const auto& g : snap.gauges) {
-    os << "gauge " << g.name << ' ' << g.value << '\n';
-  }
-  for (const auto& h : snap.histograms) {
-    os << "histogram " << h.name << " count=" << h.count
-       << " sum=" << json_number(h.sum) << " buckets=";
-    for (std::size_t b = 0; b < h.buckets.size(); ++b) {
-      if (b != 0) os << '|';
-      os << h.buckets[b];
-    }
-    os << '\n';
-  }
   if (snap.timers.empty() && snap.worker_shards.empty()) return os.str();
   os << "-- nondeterministic (excluded from the determinism contract) --\n";
   for (const auto& t : snap.timers) {
@@ -429,33 +311,13 @@ std::string to_text(const Snapshot& snap) {
 
 std::string to_json(const Snapshot& snap, std::string_view source) {
   std::ostringstream os;
-  os << "{\n  \"source\": \"" << json_escape(std::string(source))
+  os << "{\n  \"source\": \"" << json_escape(source)
      << "\",\n  \"counters\": {";
   for (std::size_t i = 0; i < snap.counters.size(); ++i) {
     os << (i ? ", " : "") << '"' << json_escape(snap.counters[i].name)
        << "\": " << snap.counters[i].value;
   }
-  os << "},\n  \"gauges\": {";
-  for (std::size_t i = 0; i < snap.gauges.size(); ++i) {
-    os << (i ? ", " : "") << '"' << json_escape(snap.gauges[i].name)
-       << "\": " << snap.gauges[i].value;
-  }
-  os << "},\n  \"histograms\": [";
-  for (std::size_t i = 0; i < snap.histograms.size(); ++i) {
-    const auto& h = snap.histograms[i];
-    os << (i ? ",\n    " : "\n    ") << "{\"name\": \""
-       << json_escape(h.name) << "\", \"edges\": [";
-    for (std::size_t b = 0; b < h.edges.size(); ++b) {
-      os << (b ? ", " : "") << json_number(h.edges[b]);
-    }
-    os << "], \"buckets\": [";
-    for (std::size_t b = 0; b < h.buckets.size(); ++b) {
-      os << (b ? ", " : "") << h.buckets[b];
-    }
-    os << "], \"sum\": " << json_number(h.sum) << ", \"count\": " << h.count
-       << '}';
-  }
-  os << (snap.histograms.empty() ? "" : "\n  ") << "],\n  \"timers\": [";
+  os << "},\n  \"timers\": [";
   for (std::size_t i = 0; i < snap.timers.size(); ++i) {
     const auto& t = snap.timers[i];
     os << (i ? ",\n    " : "\n    ") << "{\"name\": \""
@@ -477,13 +339,7 @@ void emit_if_enabled(const std::string& name) {
   const Snapshot snap = MetricsRegistry::instance().snapshot(
       {.include_nondeterministic = true});
   std::cerr << "-- metrics (" << name << ") --\n" << to_text(snap);
-  // PMIOT_BENCH_DIR redirects machine-readable artifacts (here and in
-  // bench/bench_json.h) so CI upload steps do not depend on the build
-  // directory layout. Default: current working directory.
-  std::string path = "METRICS_" + name + ".json";
-  if (const char* dir = std::getenv("PMIOT_BENCH_DIR"); dir != nullptr && *dir != '\0') {
-    path = std::string(dir) + "/" + path;
-  }
+  const std::string path = artifact_path("METRICS_" + name + ".json");
   std::ofstream os(path);
   if (!os) {
     std::cerr << "warning: could not write " << path << '\n';

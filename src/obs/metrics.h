@@ -1,16 +1,15 @@
-// Deterministic observability: process-wide registry of named counters,
-// gauges, fixed-bucket histograms, and timers.
+// Deterministic observability: process-wide registry of named counters and
+// timers.
 //
 // The determinism contract (README "Determinism contract") extends to
-// metrics: counter, gauge, and histogram snapshots are bitwise identical at
-// any `PMIOT_THREADS`. Inside a `parallel_for` batch every increment lands
-// in a per-shard cell (installed via `par::BatchObserver`); cells are merged
-// into the registry totals in shard-index order at batch join, so even
-// floating-point histogram sums accumulate in a schedule-independent order.
-// Increments outside a batch go straight to the totals in caller program
-// order. Two metric families are explicitly *excluded* from the contract and
-// omitted from deterministic snapshots: `Timer` spans (wall durations) and
-// the per-worker shard counts exported as `par.worker_shards.<w>`.
+// metrics: counter snapshots are bitwise identical at any `PMIOT_THREADS`.
+// Inside a `parallel_for` batch every increment lands in a per-shard cell
+// (installed via `par::BatchObserver`); cells are merged into the registry
+// totals in shard-index order at batch join. Increments outside a batch go
+// straight to the totals. Two metric families are explicitly *excluded*
+// from the contract and omitted from deterministic snapshots: `Timer` spans
+// (wall durations) and the per-worker shard counts exported as
+// `par.worker_shards.<w>`.
 //
 // Everything is gated by the `PMIOT_METRICS` environment switch (any value
 // except "0" enables), cached once into a process-wide bool: with metrics
@@ -78,59 +77,6 @@ class Counter {
   std::atomic<std::uint64_t> value_{0};
 };
 
-/// Last-written integer value (a size, a configuration knob). Gauges are
-/// not routed through per-shard cells: setting one from inside a parallel
-/// region would be order-dependent at any width, so the contract is that
-/// gauges are only set from serial code.
-class Gauge {
- public:
-  Gauge(const Gauge&) = delete;
-  Gauge& operator=(const Gauge&) = delete;
-
-  void set(std::int64_t v) noexcept {
-    if (enabled()) value_.store(v, std::memory_order_relaxed);
-  }
-
-  std::int64_t value() const noexcept {
-    return value_.load(std::memory_order_relaxed);
-  }
-
- private:
-  friend class MetricsRegistry;
-  Gauge() noexcept = default;
-
-  std::atomic<std::int64_t> value_{0};
-};
-
-/// Fixed-bucket histogram: `edges` are ascending upper bounds; a value v
-/// lands in the first bucket with v <= edge, or the overflow bucket, so
-/// there are edges.size() + 1 buckets. Tracks count and sum alongside.
-class Histogram {
- public:
-  Histogram(const Histogram&) = delete;
-  Histogram& operator=(const Histogram&) = delete;
-
-  void observe(double v) {
-    if (!enabled()) return;
-    observe_enabled(v);
-  }
-
-  const std::vector<double>& edges() const noexcept { return edges_; }
-
- private:
-  friend class MetricsRegistry;
-  Histogram(std::size_t id, std::vector<double> edges);
-  void observe_enabled(double v);
-
-  const std::size_t id_;
-  const std::vector<double> edges_;
-  // Totals; guarded by the registry mutex (direct observes and cell merges
-  // both take it, so the accumulation order is schedule-independent).
-  std::vector<std::uint64_t> buckets_;
-  double sum_ = 0.0;
-  std::uint64_t count_ = 0;
-};
-
 /// Wall-duration accumulator fed by `ScopedTimer` (src/obs/scoped_timer.h).
 /// Durations are scheduling-dependent: timers appear only in
 /// nondeterministic snapshots and are excluded from the determinism
@@ -152,24 +98,13 @@ class Timer {
 };
 
 /// Point-in-time copy of registry values, sorted by metric name. The
-/// `counters` / `gauges` / `histograms` sections are covered by the
-/// determinism contract; `timers` and `worker_shards` are populated only
-/// when `SnapshotOptions::include_nondeterministic` is set.
+/// `counters` section is covered by the determinism contract; `timers` and
+/// `worker_shards` are populated only when
+/// `SnapshotOptions::include_nondeterministic` is set.
 struct Snapshot {
   struct CounterValue {
     std::string name;
     std::uint64_t value = 0;
-  };
-  struct GaugeValue {
-    std::string name;
-    std::int64_t value = 0;
-  };
-  struct HistogramValue {
-    std::string name;
-    std::vector<double> edges;
-    std::vector<std::uint64_t> buckets;
-    double sum = 0.0;
-    std::uint64_t count = 0;
   };
   struct TimerValue {
     std::string name;
@@ -179,8 +114,6 @@ struct Snapshot {
   };
 
   std::vector<CounterValue> counters;
-  std::vector<GaugeValue> gauges;
-  std::vector<HistogramValue> histograms;
   // Excluded from the determinism contract:
   std::vector<TimerValue> timers;
   std::vector<CounterValue> worker_shards;  // "par.worker_shards.<w>"
@@ -203,10 +136,6 @@ class MetricsRegistry {
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
   Counter& counter(std::string_view name);
-  Gauge& gauge(std::string_view name);
-  /// `edges` must be ascending; registering the same name again with
-  /// different edges is an error (InvalidArgument).
-  Histogram& histogram(std::string_view name, std::vector<double> edges);
   Timer& timer(std::string_view name);
 
   /// Empty when metrics are disabled. Never call while a batch is in
@@ -218,8 +147,6 @@ class MetricsRegistry {
   void reset_values_for_testing();
 
  private:
-  friend class Histogram;  // direct observes lock the registry mutex
-
   MetricsRegistry();
   ~MetricsRegistry();
 
@@ -227,13 +154,23 @@ class MetricsRegistry {
   Impl* impl_;
 };
 
-/// Human-readable snapshot: one metric per line, deterministic sections
-/// first, nondeterministic sections (if present) after a marker line.
+/// Human-readable snapshot: one metric per line, counters first, the
+/// nondeterministic sections (if present) after a marker line.
 std::string to_text(const Snapshot& snap);
 
-/// JSON snapshot following the bench_json.h conventions (escaping, numeric
-/// formatting, null for non-finite doubles).
+/// JSON snapshot: `source`, `counters`, `timers` and `worker_shards`.
 std::string to_json(const Snapshot& snap, std::string_view source);
+
+/// Escapes `s` for use inside a JSON string literal (quote, backslash and
+/// control characters). The one escaper of every JSON artifact the tree
+/// writes: `METRICS_*.json`, `BENCH_*.json` and the lint reports.
+std::string json_escape(std::string_view s);
+
+/// Where a machine-readable artifact named `file` is written:
+/// `$PMIOT_BENCH_DIR/<file>` when that variable is set and non-empty (CI
+/// points it at the directory it uploads), otherwise `file` in the current
+/// working directory.
+std::string artifact_path(std::string_view file);
 
 /// Convenience for benches/examples: when metrics are enabled, prints the
 /// full (deterministic + nondeterministic) text snapshot to stderr and

@@ -129,20 +129,23 @@ TEST(Evaluator, SweepProducesFrontier) {
 TEST(Evaluator, SweepParallelMatchesSweepBitwiseAcrossPoolWidths) {
   // The campaign runner and the parallel benches lean on this contract:
   // point RNGs are forked from `rng` serially up front, so the pooled
-  // sweep reproduces the serial one bit for bit at any PMIOT_THREADS.
+  // sweep reproduces the width-1 one bit for bit at any PMIOT_THREADS.
   const auto home = test_home(21, 3);
   const auto evaluator = PrivacyEvaluator::standard();
   NoiseDefense defense;
   const std::vector<double> intensities{0.0, 0.25, 0.5, 0.75, 1.0};
-  Rng serial_rng(77);
-  const auto serial = evaluator.sweep(defense, home, intensities, serial_rng);
-
-  for (const std::size_t width : {std::size_t{1}, std::size_t{4}}) {
+  const auto sweep_at = [&](std::size_t width) {
+    Rng rng(77);
+    if (width == 0) return evaluator.sweep(defense, home, intensities, rng);
     par::ThreadPool pool(width);
     par::ScopedPoolOverride scoped(pool);
-    Rng pooled_rng(77);
-    const auto pooled =
-        evaluator.sweep_parallel(defense, home, intensities, pooled_rng);
+    return evaluator.sweep(defense, home, intensities, rng);
+  };
+  const auto serial = sweep_at(1);
+
+  // Width 0 stands for the default shared pool (PMIOT_THREADS).
+  for (const std::size_t width : {std::size_t{4}, std::size_t{0}}) {
+    const auto pooled = sweep_at(width);
     ASSERT_EQ(pooled.size(), serial.size()) << "pool width " << width;
     for (std::size_t i = 0; i < serial.size(); ++i) {
       EXPECT_EQ(pooled[i].intensity, serial[i].intensity);

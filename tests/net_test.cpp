@@ -847,6 +847,23 @@ TEST(GatewayPolicy, ShortCaptureReturnsEmptyReport) {
   EXPECT_TRUE(report.events.empty());
   EXPECT_EQ(report.lateral_packets_blocked, 1u);
   EXPECT_EQ(report.quarantine_packets_dropped, 0u);
+
+  // Windows are counted by `full_window_count`, the feature path's rule:
+  // 7 * 1.1 > 7.7 in doubles, so a 7.7 s capture holds 6 full 1.1 s
+  // windows and the suffix-count table has 7 entries. Durations with too
+  // many windows to index are a checked error, not a float-to-int cast.
+  GatewayOptions odd = rig.options;
+  odd.window_s = 1.1;
+  SmartGateway odd_gateway(rig.classifier, rig.detector, odd);
+  odd_gateway.register_device(dev, "dev");
+  EXPECT_EQ(odd_gateway.policy_counts(packets, 7.7)[0].nonexempt_from.size(),
+            7u);
+  for (const double duration :
+       {1e300, std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(odd_gateway.policy_counts(packets, duration),
+                 InvalidArgument);
+    EXPECT_THROW(odd_gateway.process(packets, duration), InvalidArgument);
+  }
 }
 
 TEST(GatewayPolicy, QuarantineExemptsUdpDnsOnly) {

@@ -1,45 +1,10 @@
 #include "pmiot_lint/report.h"
 
-#include <cstdio>
+#include "obs/metrics.h"
 
 namespace pmiot::lint {
-namespace {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
+using obs::json_escape;
 
 std::string to_json(const std::vector<Diagnostic>& diags) {
   std::string out = "{\n  \"tool\": \"pmiot_lint\",\n  \"findings\": [";
