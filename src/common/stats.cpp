@@ -53,14 +53,20 @@ double median(std::span<const double> xs) { return quantile(xs, 0.5); }
 double quantile(std::span<const double> xs, double q) {
   PMIOT_CHECK(!xs.empty(), "quantile of empty range");
   PMIOT_CHECK(q >= 0.0 && q <= 1.0, "quantile q must be in [0,1]");
-  std::vector<double> sorted(xs.begin(), xs.end());
-  std::sort(sorted.begin(), sorted.end());
-  if (sorted.size() == 1) return sorted[0];
-  const double pos = q * static_cast<double>(sorted.size() - 1);
+  if (xs.size() == 1) return xs[0];
+  const double pos = q * static_cast<double>(xs.size() - 1);
   const auto lo = static_cast<std::size_t>(pos);
-  const auto hi = std::min(lo + 1, sorted.size() - 1);
+  const auto hi = std::min(lo + 1, xs.size() - 1);
   const double frac = pos - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+  // Only the order statistics at lo and hi are read, so select them rather
+  // than sort: nth_element places the lo-th, and the hi-th (hi is lo or
+  // lo + 1) is the least of what lies above it.
+  std::vector<double> v(xs.begin(), xs.end());
+  const auto lo_it = v.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(v.begin(), lo_it, v.end());
+  const double at_lo = *lo_it;
+  const double at_hi = hi == lo ? at_lo : *std::min_element(lo_it + 1, v.end());
+  return at_lo * (1.0 - frac) + at_hi * frac;
 }
 
 double pearson(std::span<const double> xs, std::span<const double> ys) {

@@ -147,14 +147,14 @@ std::vector<double> extract_window_features(std::span<const Packet> packets,
   return f;
 }
 
-std::vector<WindowRow> windowed_features(std::span<const Packet> packets,
-                                         std::uint32_t device_ip,
-                                         double duration_s, double window_s,
-                                         bool keep_idle_windows,
-                                         std::uint32_t router_ip) {
+std::vector<std::vector<WindowRow>> windowed_features(
+    std::span<const Packet> packets, std::span<const std::uint32_t> device_ips,
+    double duration_s, double window_s, bool keep_idle_windows,
+    std::uint32_t router_ip) {
   PMIOT_CHECK(window_s > 0.0 && duration_s >= window_s,
               "need at least one full window");
-  WindowAccumulator accumulator(device_ip, window_s, keep_idle_windows,
+  if (device_ips.empty()) return {};
+  WindowAccumulator accumulator(device_ips, window_s, keep_idle_windows,
                                 router_ip);
   // Packets at or past the end of the last full window would only open
   // windows that `finish` discards, and a huge timestamp would make the
@@ -173,6 +173,17 @@ std::vector<WindowRow> windowed_features(std::span<const Packet> packets,
                 "packets must arrive in timestamp order (use sort_by_time)");
   }
   return accumulator.finish(duration_s);
+}
+
+std::vector<WindowRow> windowed_features(std::span<const Packet> packets,
+                                         std::uint32_t device_ip,
+                                         double duration_s, double window_s,
+                                         bool keep_idle_windows,
+                                         std::uint32_t router_ip) {
+  return std::move(windowed_features(packets, std::span(&device_ip, 1),
+                                     duration_s, window_s, keep_idle_windows,
+                                     router_ip)
+                       .front());
 }
 
 }  // namespace pmiot::net

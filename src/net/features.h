@@ -7,10 +7,11 @@
 //
 // Two extraction paths produce identical results:
 //   * `extract_window_features` — the readable reference: rescans the
-//     packet span for one window.
+//     packet span for one device and one window.
 //   * `WindowAccumulator` (window_accumulator.h) — the streaming path used
-//     by `windowed_features` and the gateway: one pass over the capture for
-//     every window. A property test keeps the two bit-for-bit equal.
+//     by `windowed_features` and the gateway: one pass over a home's
+//     capture for every window of every device. Property tests keep the
+//     two bit-for-bit equal.
 #pragma once
 
 #include <cstddef>
@@ -64,12 +65,24 @@ struct WindowRow {
   std::vector<double> features;
 };
 
-/// Splits a capture into consecutive `window_s`-second windows and extracts
-/// one feature row per window for the device, in a single pass over the
-/// packets (which must be sorted by timestamp — see `sort_by_time`).
+/// Splits a home's capture into consecutive `window_s`-second windows and
+/// extracts one feature row per window for each device in `device_ips`, in
+/// a single pass over the packets (which must be sorted by timestamp — see
+/// `sort_by_time`). Returns one row vector per device, in roster order.
 /// By default windows with no device traffic are omitted; their indices are
 /// still consumed, so `window_index` always reflects wall-clock position.
 /// With `keep_idle_windows` every window is returned (idle ones all-zero).
+/// Throws `InvalidArgument` for a roster that lists an address twice, for
+/// fewer than one full window, and for timestamps that are not finite or
+/// not in order; packets at or past the last full window are checked but
+/// not counted. An empty roster yields no rows and leaves the capture
+/// unread.
+std::vector<std::vector<WindowRow>> windowed_features(
+    std::span<const Packet> packets, std::span<const std::uint32_t> device_ips,
+    double duration_s, double window_s, bool keep_idle_windows = false,
+    std::uint32_t router_ip = kDefaultRouterIp);
+
+/// The one-device case of the roster form above.
 std::vector<WindowRow> windowed_features(std::span<const Packet> packets,
                                          std::uint32_t device_ip,
                                          double duration_s, double window_s,

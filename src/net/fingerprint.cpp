@@ -1,5 +1,8 @@
 #include "net/fingerprint.h"
 
+#include <cstdint>
+#include <vector>
+
 #include "common/error.h"
 
 namespace pmiot::net {
@@ -13,11 +16,15 @@ ml::Dataset build_fingerprint_dataset(const FingerprintOptions& options,
   const auto home =
       simulate_home_network(options.instances_per_type, options.duration_s,
                             rng);
+  std::vector<std::uint32_t> ips;
+  for (const auto& device : home.devices) ips.push_back(device.ip);
+  auto rows = windowed_features(home.packets, ips, options.duration_s,
+                                options.window_s);
   ml::Dataset data;
-  for (const auto& device : home.devices) {
-    for (auto& row : windowed_features(home.packets, device.ip,
-                                       options.duration_s, options.window_s)) {
-      data.append(std::move(row.features), static_cast<int>(device.type));
+  for (std::size_t d = 0; d < home.devices.size(); ++d) {
+    for (auto& row : rows[d]) {
+      data.append(std::move(row.features),
+                  static_cast<int>(home.devices[d].type));
     }
   }
   data.validate();

@@ -44,6 +44,21 @@ std::size_t capture_windows(double duration_s, double window_s) {
   return full_window_count(duration_s, window_s);
 }
 
+/// Largest boundary index k in [0, windows] with timestamp >= k * window_s
+/// (0 for NaN), using the same `index * window_s` boundary arithmetic as
+/// the replay's quarantine timestamps so the bucket test is exact. Past the
+/// last boundary the answer is `windows` without a quotient, so no
+/// timestamp, however large, reaches an out-of-range integer conversion.
+std::size_t boundary_index(double timestamp_s, std::size_t windows,
+                           double window_s) {
+  if (timestamp_s >= static_cast<double>(windows) * window_s) return windows;
+  if (!(timestamp_s > 0.0)) return 0;
+  auto k = static_cast<std::size_t>(timestamp_s / window_s);
+  while (timestamp_s >= static_cast<double>(k + 1) * window_s) ++k;
+  while (k > 0 && timestamp_s < static_cast<double>(k) * window_s) --k;
+  return k;
+}
+
 }  // namespace
 
 const char* to_string(Zone zone) {
@@ -70,23 +85,29 @@ void SmartGateway::register_device(std::uint32_t ip, std::string name) {
   devices_[ip] = std::move(name);
 }
 
+std::vector<std::uint32_t> SmartGateway::device_ips() const {
+  std::vector<std::uint32_t> ips;
+  ips.reserve(devices_.size());
+  for (const auto& entry : devices_) ips.push_back(entry.first);
+  return ips;
+}
+
 std::vector<DeviceRows> SmartGateway::extract_rows(
     std::span<const Packet> packets, double duration_s) const {
   const std::size_t windows = capture_windows(duration_s, options_.window_s);
+  std::vector<std::vector<WindowRow>> rows(devices_.size());
+  // A capture shorter than one window has no rows to extract; routine
+  // under fleet churn, not an error.
+  if (windows > 0) {
+    rows = windowed_features(packets, device_ips(), duration_s,
+                             options_.window_s,
+                             /*keep_idle_windows=*/false, options_.router_ip);
+  }
   std::vector<DeviceRows> out;
   out.reserve(devices_.size());
+  std::size_t i = 0;
   for (const auto& [ip, name] : devices_) {
-    DeviceRows device;
-    device.ip = ip;
-    device.name = name;
-    // A capture shorter than one window has no rows to extract; routine
-    // under fleet churn, not an error.
-    if (windows > 0) {
-      device.rows =
-          windowed_features(packets, ip, duration_s, options_.window_s,
-                            /*keep_idle_windows=*/false, options_.router_ip);
-    }
-    out.push_back(std::move(device));
+    out.push_back(DeviceRows{ip, name, std::move(rows[i++])});
   }
   return out;
 }
@@ -95,42 +116,26 @@ std::vector<PolicyCounts> SmartGateway::policy_counts(
     std::span<const Packet> packets, double duration_s) const {
   const std::size_t windows = capture_windows(duration_s, options_.window_s);
 
-  std::map<std::uint32_t, std::size_t> index;
+  const DeviceSlots slots(device_ips());
   std::vector<PolicyCounts> out(devices_.size());
-  for (const auto& [ip, name] : devices_) {
-    const auto i = index.size();
-    index[ip] = i;
-    out[i].nonexempt_from.assign(windows + 1, 0);
-    out[i].lateral_nonexempt_from.assign(windows + 1, 0);
+  for (auto& pc : out) {
+    pc.nonexempt_from.assign(windows + 1, 0);
+    pc.lateral_nonexempt_from.assign(windows + 1, 0);
   }
 
   for (const auto& p : packets) {
-    const auto it = index.find(p.src_ip);
-    if (it == index.end()) continue;
-    auto& pc = out[it->second];
+    const auto src = slots.find(p.src_ip);
+    if (src == DeviceSlots::kNone) continue;
+    auto& pc = out[src];
     ++pc.policed;
     const bool lateral = is_lan(p.dst_ip) && p.dst_ip != options_.router_ip &&
-                         devices_.count(p.dst_ip) == 0;
+                         slots.find(p.dst_ip) == DeviceSlots::kNone;
     if (lateral) ++pc.lateral_total;
     if (quarantine_exempt(p)) continue;
-    // Largest boundary index k in [0, windows] with timestamp >= k *
-    // window_s, using the same `index * window_s` boundary arithmetic as
-    // the replay's quarantine timestamps so the bucket test is exact.
-    std::size_t k = 0;
-    if (p.timestamp_s > 0.0) {
-      k = std::min(windows,
-                   static_cast<std::size_t>(p.timestamp_s / options_.window_s));
-      while (k + 1 <= windows &&
-             p.timestamp_s >= static_cast<double>(k + 1) * options_.window_s) {
-        ++k;
-      }
-      while (k > 0 &&
-             p.timestamp_s < static_cast<double>(k) * options_.window_s) {
-        --k;
-      }
-    }
-    ++pc.nonexempt_from[k];
-    if (lateral) ++pc.lateral_nonexempt_from[k];
+    const std::size_t boundary =
+        boundary_index(p.timestamp_s, windows, options_.window_s);
+    ++pc.nonexempt_from[boundary];
+    if (lateral) ++pc.lateral_nonexempt_from[boundary];
   }
 
   // Bucket counts -> suffix sums: [k] covers every packet at or after the

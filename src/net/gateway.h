@@ -131,7 +131,8 @@ class SmartGateway {
   // --- staged API (used by process() and by pmiot::fleet) -----------------
 
   /// Stage 1: windowed feature rows per registered device, in registration
-  /// (ascending IP) order — the order verdicts are reported in.
+  /// (ascending IP) order — the order verdicts are reported in. One pass
+  /// over the capture serves every device.
   std::vector<DeviceRows> extract_rows(std::span<const Packet> packets,
                                        double duration_s) const;
 
@@ -153,6 +154,10 @@ class SmartGateway {
                        double duration_s) const;
 
  private:
+  /// Registered addresses in ascending order, the order of every stage's
+  /// per-device output.
+  std::vector<std::uint32_t> device_ips() const;
+
   const ml::Classifier& classifier_;
   const AnomalyDetector& detector_;
   GatewayOptions options_;

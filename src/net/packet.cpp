@@ -40,8 +40,28 @@ std::string ip_to_string(std::uint32_t ip) {
   return buf;
 }
 
-bool is_lan(std::uint32_t ip) noexcept {
-  return (ip >> 8) == (make_ip(10, 0, 0, 0) >> 8);
+DeviceSlots::DeviceSlots(std::span<const std::uint32_t> ips) {
+  PMIOT_CHECK(ips.size() < kNone, "too many devices");
+  lan_.fill(kNone);
+  for (std::size_t i = 0; i < ips.size(); ++i) {
+    PMIOT_CHECK(find(ips[i]) == kNone, "duplicate device address");
+    const auto slot = static_cast<std::uint32_t>(i);
+    if (is_lan(ips[i])) {
+      lan_[ips[i] & 0xffu] = slot;
+    } else {
+      off_lan_.emplace_back(ips[i], slot);
+    }
+  }
+}
+
+FlowKey flow_key_of(const Packet& packet) noexcept {
+  if (packet.src_ip < packet.dst_ip ||
+      (packet.src_ip == packet.dst_ip && packet.src_port <= packet.dst_port)) {
+    return FlowKey{packet.src_ip, packet.dst_ip, packet.src_port,
+                   packet.dst_port, packet.protocol};
+  }
+  return FlowKey{packet.dst_ip, packet.src_ip, packet.dst_port,
+                 packet.src_port, packet.protocol};
 }
 
 std::size_t FlowKeyHash::operator()(const FlowKey& key) const noexcept {
@@ -62,20 +82,10 @@ FlowTable::FlowTable(double idle_timeout_s)
 }
 
 void FlowTable::add(const Packet& packet) {
-  // Canonicalize direction: (ip_a, port_a) is the numerically smaller
-  // endpoint, so both directions land on the same key.
-  FlowKey key;
-  bool forward;  // packet travels a -> b
-  if (packet.src_ip < packet.dst_ip ||
-      (packet.src_ip == packet.dst_ip && packet.src_port <= packet.dst_port)) {
-    key = FlowKey{packet.src_ip, packet.dst_ip, packet.src_port,
-                  packet.dst_port, packet.protocol};
-    forward = true;
-  } else {
-    key = FlowKey{packet.dst_ip, packet.src_ip, packet.dst_port,
-                  packet.src_port, packet.protocol};
-    forward = false;
-  }
+  const FlowKey key = flow_key_of(packet);
+  // The packet travels a -> b when it leaves from the key's first endpoint.
+  const bool forward =
+      key.ip_a == packet.src_ip && key.port_a == packet.src_port;
 
   // Find an active (non-timed-out) flow for the key.
   if (const auto it = active_.find(key); it != active_.end()) {

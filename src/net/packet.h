@@ -6,9 +6,12 @@
 // synthetic; 10.0.0.0/24 is the LAN, everything else is "the Internet".
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace pmiot::net {
@@ -33,7 +36,35 @@ std::uint32_t make_ip(int a, int b, int c, int d);
 std::string ip_to_string(std::uint32_t ip);
 
 /// True for addresses inside the home LAN (10.0.0.0/24 here).
-bool is_lan(std::uint32_t ip) noexcept;
+inline constexpr bool is_lan(std::uint32_t ip) noexcept {
+  return (ip >> 8) == (0x0a000000u >> 8);
+}
+
+/// O(1) map from a device address to its position in a roster, for the
+/// per-packet routing of the gateway's one-pass stages. LAN addresses, where
+/// the gateway registers every device, resolve through a direct table of
+/// the /24's 256 hosts; off-LAN roster entries (which only direct callers of
+/// the feature path use) are found by a scan of that normally empty rest.
+class DeviceSlots {
+ public:
+  static constexpr std::uint32_t kNone = 0xffffffffu;
+
+  /// Throws `InvalidArgument` when an address appears twice.
+  explicit DeviceSlots(std::span<const std::uint32_t> ips);
+
+  /// Roster position of `ip`, or kNone.
+  std::uint32_t find(std::uint32_t ip) const noexcept {
+    if (is_lan(ip)) return lan_[ip & 0xffu];
+    for (const auto& [off_ip, slot] : off_lan_) {
+      if (off_ip == ip) return slot;
+    }
+    return kNone;
+  }
+
+ private:
+  std::array<std::uint32_t, 256> lan_;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> off_lan_;
+};
 
 /// Canonical bidirectional flow identity (sorted endpoints).
 struct FlowKey {
@@ -43,6 +74,10 @@ struct FlowKey {
 
   bool operator==(const FlowKey&) const = default;
 };
+
+/// The packet's flow key, with (ip_a, port_a) the numerically smaller
+/// endpoint so both directions land on the same key.
+FlowKey flow_key_of(const Packet& packet) noexcept;
 
 /// Hash over all key fields so the flow table can index active flows.
 struct FlowKeyHash {
@@ -65,11 +100,14 @@ struct Flow {
   std::uint64_t bytes() const noexcept { return bytes_ab + bytes_ba; }
 };
 
+/// Default flow idle timeout, also the one the window features count with.
+inline constexpr double kFlowIdleTimeoutS = 120.0;
+
 /// Aggregates packets into flows with an idle timeout: a packet arriving
 /// more than `idle_timeout_s` after a flow's last packet starts a new flow.
 class FlowTable {
  public:
-  explicit FlowTable(double idle_timeout_s = 120.0);
+  explicit FlowTable(double idle_timeout_s = kFlowIdleTimeoutS);
 
   /// Adds one packet (timestamps must be non-decreasing per flow key for
   /// the timeout logic to be meaningful; the generators guarantee global

@@ -201,7 +201,7 @@ std::vector<int> SupervisedNiom::detect(const ts::TimeSeries& power) const {
 
 ForestNiom::ForestNiom(Options options)
     : options_(options),
-      forest_(ml::ForestOptions{.num_trees = options.num_trees},
+      forest_(ml::ForestOptions{.num_trees = options.num_trees, .tree = {}},
               options.seed) {
   PMIOT_CHECK(options.window_minutes >= 1, "window must be positive");
   PMIOT_CHECK(options.num_trees >= 1, "need at least one tree");

@@ -1,7 +1,10 @@
 // Unit tests for pmiot_common: RNG, statistics, civil time, tables.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
+#include <cstdint>
 #include <cmath>
 #include <set>
 #include <sstream>
@@ -210,6 +213,36 @@ TEST(Stats, QuantileRejectsBadQ) {
   const std::vector<double> xs{1.0};
   EXPECT_THROW(stats::quantile(xs, -0.1), InvalidArgument);
   EXPECT_THROW(stats::quantile(xs, 1.1), InvalidArgument);
+}
+
+// quantile selects the two order statistics it reads instead of sorting;
+// the result must be bitwise the sort-based one. Values are drawn from a
+// handful of levels so most inputs carry heavy duplicates.
+TEST(Stats, QuantileMatchesSortReferenceBitForBit) {
+  Rng rng(77);
+  for (std::size_t n = 1; n <= 257; ++n) {
+    std::vector<double> xs;
+    const auto levels = rng.uniform_int(1, 6);
+    for (std::size_t i = 0; i < n; ++i) {
+      xs.push_back(rng.bernoulli(0.7)
+                       ? 0.25 * static_cast<double>(rng.uniform_int(0, levels))
+                       : rng.normal(0.0, 3.0));
+    }
+    std::vector<double> sorted = xs;
+    std::sort(sorted.begin(), sorted.end());
+    for (const double q : {0.0, 0.1, 0.25, 0.5, 0.95, 1.0}) {
+      const double pos = q * static_cast<double>(n - 1);
+      const auto lo = static_cast<std::size_t>(pos);
+      const auto hi = std::min(lo + 1, n - 1);
+      const double frac = pos - static_cast<double>(lo);
+      const double want =
+          n == 1 ? sorted[0] : sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+      const double got = stats::quantile(xs, q);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+                std::bit_cast<std::uint64_t>(want))
+          << "n " << n << " q " << q;
+    }
+  }
 }
 
 TEST(Stats, PearsonPerfectAndInverse) {

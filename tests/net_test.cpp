@@ -2,6 +2,10 @@
 // features, fingerprinting, anomaly detection, and the smart gateway.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
+#include <cstdint>
 #include <limits>
 #include <set>
 
@@ -18,6 +22,7 @@
 #include "net/capture.h"
 #include "net/packet.h"
 #include "net/window_accumulator.h"
+#include "obs/metrics.h"
 
 namespace pmiot::net {
 namespace {
@@ -371,10 +376,10 @@ TEST(Features, RouterIpIsConfigurable) {
                                       /*keep_idle_windows=*/false, router);
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0].features, read);
-  WindowAccumulator accumulator(dev, 600.0, /*keep_idle_windows=*/false,
-                                router);
+  WindowAccumulator accumulator(std::array{dev}, 600.0,
+                                /*keep_idle_windows=*/false, router);
   for (const auto& p : packets) accumulator.add(p);
-  EXPECT_EQ(accumulator.finish(600.0).at(0).features, read);
+  EXPECT_EQ(accumulator.finish(600.0).at(0).at(0).features, read);
 }
 
 TEST(Features, DefaultRouterConstantMatchesGatewayDefault) {
@@ -480,7 +485,7 @@ TEST(WindowAccumulator, MatchesReferenceOnSimulatedHome) {
 TEST(WindowAccumulator, RejectsOutOfOrderPackets) {
   const auto dev = make_ip(10, 0, 0, 10);
   const auto cloud = make_ip(52, 20, 0, 1);
-  WindowAccumulator acc(dev, 600.0);
+  WindowAccumulator acc(std::array{dev}, 600.0);
   acc.add(Packet{100.0, dev, cloud, 1, 443, Protocol::kTcp, 100});
   EXPECT_THROW(acc.add(Packet{50.0, dev, cloud, 1, 443, Protocol::kTcp, 100}),
                InvalidArgument);
@@ -492,7 +497,7 @@ TEST(WindowAccumulator, RejectsNonFiniteTimestamps) {
   for (const double t : {std::numeric_limits<double>::infinity(),
                          -std::numeric_limits<double>::infinity(),
                          std::numeric_limits<double>::quiet_NaN()}) {
-    WindowAccumulator acc(dev, 600.0);
+    WindowAccumulator acc(std::array{dev}, 600.0);
     acc.add(Packet{100.0, dev, cloud, 1, 443, Protocol::kTcp, 100});
     EXPECT_THROW(acc.add(Packet{t, dev, cloud, 1, 443, Protocol::kTcp, 100}),
                  InvalidArgument)
@@ -559,6 +564,274 @@ TEST(Features, WindowedStopsAtTheLastFullWindow) {
                                  std::numeric_limits<double>::infinity(),
                                  600.0),
                InvalidArgument);
+}
+
+// --- the roster (one pass per home) form --------------------------------------------
+
+/// Bitwise equality of two rows (EXPECT_EQ on doubles would let -0 == +0).
+void expect_same_rows(const std::vector<WindowRow>& got,
+                      const std::vector<WindowRow>& want,
+                      const std::string& where) {
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (std::size_t r = 0; r < want.size(); ++r) {
+    EXPECT_EQ(got[r].window_index, want[r].window_index) << where;
+    ASSERT_EQ(got[r].features.size(), want[r].features.size()) << where;
+    for (std::size_t k = 0; k < want[r].features.size(); ++k) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got[r].features[k]),
+                std::bit_cast<std::uint64_t>(want[r].features[k]))
+          << where << " window " << want[r].window_index << " feature "
+          << feature_names()[k];
+    }
+  }
+}
+
+/// Per-device reference rows: `extract_window_features` on every full
+/// window, kept when the device was heard (or always, with idle windows).
+std::vector<WindowRow> reference_rows(const std::vector<Packet>& packets,
+                                      std::uint32_t device_ip,
+                                      double duration_s, double window_s,
+                                      bool keep_idle_windows,
+                                      std::uint32_t router_ip) {
+  std::vector<WindowRow> rows;
+  for (std::size_t w = 0; w < full_window_count(duration_s, window_s); ++w) {
+    auto f = extract_window_features(packets, device_ip,
+                                     static_cast<double>(w) * window_s,
+                                     static_cast<double>(w + 1) * window_s,
+                                     router_ip);
+    const bool heard = f[kFeaturePktRateUp] + f[kFeaturePktRateDown] > 0.0;
+    if (heard || keep_idle_windows) rows.push_back(WindowRow{w, std::move(f)});
+  }
+  return rows;
+}
+
+/// A home's capture around `roster`: cloud exchanges on a small port space
+/// (so flows recur across idle gaps longer than the flow timeout), DNS via
+/// `router`, LAN traffic between registered devices, self-addressed
+/// packets, unregistered LAN peers, and traffic involving no device.
+std::vector<Packet> random_home(Rng& rng,
+                                const std::vector<std::uint32_t>& roster,
+                                std::uint32_t router, double duration_s) {
+  std::vector<Packet> out;
+  const auto stranger = make_ip(10, 0, 0, 99);
+  const int n = static_cast<int>(rng.uniform_int(100, 600));
+  auto pick = [&](std::uint32_t fallback) {
+    return roster.empty()
+               ? fallback
+               : roster[static_cast<std::size_t>(rng.uniform_int(
+                     0, static_cast<std::int64_t>(roster.size()) - 1))];
+  };
+  for (int i = 0; i < n; ++i) {
+    // Clustered bursts separated by long silences.
+    const double t = rng.bernoulli(0.5)
+                         ? rng.uniform(0.0, duration_s * 0.15)
+                         : rng.uniform(0.0, duration_s * 1.05);
+    const auto dev = pick(stranger);
+    const auto cloud =
+        make_ip(52, 20, 0, static_cast<int>(rng.uniform_int(1, 4)));
+    const auto sport = static_cast<std::uint16_t>(rng.uniform_int(40000, 40003));
+    const auto size = static_cast<int>(rng.uniform_int(40, 1400));
+    const auto proto = rng.bernoulli(0.3) ? Protocol::kUdp : Protocol::kTcp;
+    const double roll = rng.uniform();
+    if (roll < 0.25) {
+      out.push_back(Packet{t, dev, cloud, sport, 443, proto, size});
+    } else if (roll < 0.4) {
+      out.push_back(Packet{t, cloud, dev, 443, sport, proto, size});
+    } else if (roll < 0.5) {
+      out.push_back(Packet{t, dev, router, sport, 53, Protocol::kUdp, 60});
+      out.push_back(
+          Packet{t + 0.05, router, dev, 53, sport, Protocol::kUdp, 140});
+    } else if (roll < 0.65) {  // LAN to LAN between registered devices
+      out.push_back(Packet{t, dev, pick(stranger), sport, 8883, proto, 150});
+    } else if (roll < 0.72) {  // self-addressed, either way round
+      const std::uint16_t port = rng.bernoulli(0.5) ? sport : 8883;
+      out.push_back(rng.bernoulli(0.5)
+                        ? Packet{t, dev, dev, sport, port, proto, 90}
+                        : Packet{t, dev, dev, port, sport, proto, 90});
+    } else if (roll < 0.85) {  // an unregistered LAN peer
+      out.push_back(Packet{t, stranger, dev, 5000, sport, proto, size});
+    } else if (roll < 0.93) {  // no registered device involved
+      out.push_back(Packet{t, stranger, cloud, 5000, 443, proto, size});
+    } else {
+      out.push_back(Packet{t, router, cloud, 5353, 443, proto, size});
+    }
+  }
+  sort_by_time(out);
+  return out;
+}
+
+TEST(WindowAccumulator, RosterMatchesPerDeviceReferenceBitForBit) {
+  const std::array<std::uint32_t, 2> routers{kDefaultRouterIp,
+                                             make_ip(10, 0, 0, 254)};
+  for (std::uint64_t seed = 0; seed < 16; ++seed) {
+    Rng rng(500 + seed);
+    std::vector<std::uint32_t> roster;
+    const auto devices = static_cast<int>(seed % 5);  // 0 to 4 devices
+    for (int d = 0; d < devices; ++d) roster.push_back(make_ip(10, 0, 0, 20 + d));
+    // An off-LAN roster entry exercises the address lookup's fallback.
+    if (seed % 7 == 3) roster.push_back(make_ip(52, 20, 0, 2));
+    const auto router = routers[seed % 2];
+    // 300 s windows outlast the 120 s flow timeout; odd windows truncate
+    // the last burst bucket; the duration leaves a partial trailing window.
+    const double window_s = (seed % 3 == 0) ? 47.0 : 300.0;
+    const double duration_s = 1200.0 + static_cast<double>(seed % 2) * 33.0;
+    const auto packets = random_home(rng, roster, router, duration_s);
+
+    for (const bool keep_idle : {false, true}) {
+      const auto rows = windowed_features(packets, roster, duration_s,
+                                          window_s, keep_idle, router);
+      ASSERT_EQ(rows.size(), roster.size());
+      for (std::size_t d = 0; d < roster.size(); ++d) {
+        const std::string where = "seed " + std::to_string(seed) +
+                                  " device " + std::to_string(d) +
+                                  (keep_idle ? " idle kept" : "");
+        expect_same_rows(rows[d],
+                         reference_rows(packets, roster[d], duration_s,
+                                        window_s, keep_idle, router),
+                         where);
+        expect_same_rows(rows[d],
+                         windowed_features(packets, roster[d], duration_s,
+                                           window_s, keep_idle, router),
+                         where + " (one-device form)");
+      }
+    }
+  }
+}
+
+TEST(WindowAccumulator, RosterErrorsMatchTheOneDeviceForm) {
+  const auto dev = make_ip(10, 0, 0, 10);
+  const auto other = make_ip(10, 0, 0, 11);
+  const auto stranger = make_ip(10, 0, 0, 99);
+  const auto cloud = make_ip(52, 20, 0, 1);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  auto mine = [&](double t) {
+    return Packet{t, dev, cloud, 1, 443, Protocol::kTcp, 100};
+  };
+  // Bad timestamps on packets of no roster device are still caught: the
+  // capture is checked once per packet, whoever it belongs to.
+  auto theirs = [&](double t) {
+    return Packet{t, stranger, cloud, 1, 443, Protocol::kTcp, 100};
+  };
+  struct Case {
+    const char* what;
+    std::vector<Packet> packets;
+    bool throws;
+  };
+  const std::vector<Case> cases{
+      {"in order", {mine(10.0), theirs(20.0), mine(700.0)}, false},
+      {"negative zero start", {mine(-0.0), mine(5.0)}, false},
+      {"past the horizon, in order", {mine(10.0), mine(1200.0), theirs(1e300)},
+       false},
+      {"step backwards", {mine(10.0), theirs(30.0), theirs(20.0)}, true},
+      {"step backwards onto the device", {theirs(30.0), mine(20.0)}, true},
+      {"negative start", {theirs(-1.0), mine(5.0)}, true},
+      {"NaN", {mine(10.0), theirs(nan)}, true},
+      {"NaN first", {theirs(nan), mine(10.0)}, true},
+      {"+inf", {mine(10.0), theirs(inf)}, true},
+      {"-inf", {mine(10.0), theirs(-inf)}, true},
+      {"NaN past the horizon", {mine(10.0), theirs(1500.0), theirs(nan)}, true},
+      {"backwards past the horizon",
+       {mine(10.0), theirs(1e300), theirs(1300.0)}, true},
+      {"back inside from past the horizon",
+       {mine(10.0), theirs(1e300), mine(20.0)}, true},
+  };
+  const std::vector<std::uint32_t> roster{dev, other};
+  for (const auto& c : cases) {
+    if (c.throws) {
+      EXPECT_THROW(windowed_features(c.packets, dev, 1200.0, 600.0),
+                   InvalidArgument)
+          << c.what;
+      EXPECT_THROW(windowed_features(c.packets, roster, 1200.0, 600.0),
+                   InvalidArgument)
+          << c.what;
+    } else {
+      const auto single = windowed_features(c.packets, dev, 1200.0, 600.0);
+      const auto rows = windowed_features(c.packets, roster, 1200.0, 600.0);
+      ASSERT_EQ(rows.size(), 2u) << c.what;
+      expect_same_rows(rows[0], single, c.what);
+      EXPECT_TRUE(rows[1].empty()) << c.what;
+    }
+  }
+
+  const std::vector<Packet> good{mine(10.0)};
+  const std::vector<std::uint32_t> twice{dev, other, dev};
+  EXPECT_THROW(windowed_features(good, twice, 1200.0, 600.0),
+               InvalidArgument);
+  EXPECT_THROW(WindowAccumulator(twice, 600.0), InvalidArgument);
+  // No devices, no rows.
+  EXPECT_TRUE(windowed_features(good, std::span<const std::uint32_t>{},
+                                1200.0, 600.0)
+                  .empty());
+}
+
+/// Turns metric recording on for one test, zeroing values on both edges.
+struct MetricsOn {
+  MetricsOn() {
+    obs::MetricsRegistry::instance().reset_values_for_testing();
+    obs::set_enabled_for_testing(true);
+  }
+  ~MetricsOn() {
+    obs::set_enabled_for_testing(false);
+    obs::MetricsRegistry::instance().reset_values_for_testing();
+  }
+};
+
+TEST(WindowAccumulator, FlowCountAndCountersMatchFlowTable) {
+  const MetricsOn metrics;
+  auto& registry = obs::MetricsRegistry::instance();
+  auto& inserts = registry.counter("net.flow_table.flow_inserts");
+  auto& evictions = registry.counter("net.flow_table.flow_evictions");
+  const std::vector<std::uint32_t> roster{make_ip(10, 0, 0, 20),
+                                          make_ip(10, 0, 0, 21)};
+  for (std::uint64_t seed = 0; seed < 8; ++seed) {
+    Rng rng(900 + seed);
+    // Windows of 100 s (under the 120 s timeout) and 600 s (over it).
+    const double window_s = seed % 2 == 0 ? 600.0 : 100.0;
+    const double duration_s = 1800.0;
+    const auto packets =
+        random_home(rng, roster, kDefaultRouterIp, duration_s);
+
+    // The reference: one fresh FlowTable per device and window, fed that
+    // device's packets, as extract_window_features does.
+    const std::size_t windows = full_window_count(duration_s, window_s);
+    std::vector<std::size_t> want;
+    const auto inserts0 = inserts.value();
+    const auto evictions0 = evictions.value();
+    for (const auto ip : roster) {
+      for (std::size_t w = 0; w < windows; ++w) {
+        const double t0 = static_cast<double>(w) * window_s;
+        FlowTable table;
+        for (const auto& p : packets) {
+          if (p.timestamp_s >= t0 && p.timestamp_s < t0 + window_s &&
+              (p.src_ip == ip || p.dst_ip == ip)) {
+            table.add(p);
+          }
+        }
+        want.push_back(table.flows().size());
+      }
+    }
+    const auto table_inserts = inserts.value() - inserts0;
+    const auto table_evictions = evictions.value() - evictions0;
+
+    const auto rows = windowed_features(packets, roster, duration_s,
+                                        window_s, /*keep_idle_windows=*/true);
+    EXPECT_EQ(inserts.value() - inserts0 - table_inserts, table_inserts)
+        << "seed " << seed;
+    EXPECT_EQ(evictions.value() - evictions0 - table_evictions,
+              table_evictions)
+        << "seed " << seed;
+    if (window_s > kFlowIdleTimeoutS) {
+      EXPECT_GT(table_evictions, 0u) << "seed " << seed << " never timed out";
+    }
+    std::size_t next = 0;
+    for (const auto& device_rows : rows) {
+      ASSERT_EQ(device_rows.size(), windows);
+      for (const auto& row : device_rows) {
+        EXPECT_EQ(row.features[16], static_cast<double>(want[next++]))
+            << "seed " << seed << " window " << row.window_index;
+      }
+    }
+  }
 }
 
 // --- fingerprinting ------------------------------------------------------------------
@@ -946,6 +1219,63 @@ TEST(GatewayPolicy, RouterIpIsConfigurable) {
       Packet{2.0, dev, make_ip(10, 0, 0, 1), 5000, 80, Protocol::kTcp, 80});
   const auto report = gateway.process(packets, 5.0);
   EXPECT_EQ(report.lateral_packets_blocked, 1u);
+}
+
+// policy_counts buckets each packet by the last window boundary at or
+// before it, whatever order the capture is in and however far out of range
+// its timestamp is (the stage does not validate captures).
+TEST(GatewayPolicy, BoundaryBucketsTakeAnyTimestamp) {
+  auto rig = make_policy_rig();
+  SmartGateway gateway(rig.classifier, rig.detector, rig.options);
+  const auto dev = make_ip(10, 0, 0, 10);
+  const auto peer = make_ip(10, 0, 0, 11);
+  gateway.register_device(dev, "dev");
+  gateway.register_device(peer, "peer");
+  const double duration = 45.0;  // four full 10 s windows
+  const std::size_t windows = 4;
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> times{
+      -inf, -1.0, 0.0,  3.0,  9.999, 10.0, 10.0, 19.0, 20.0, 29.5,
+      30.0, 39.9, 40.0, 44.0, 45.0,  1e6,  1e300, inf,
+      std::numeric_limits<double>::quiet_NaN()};
+  std::vector<Packet> packets;
+  for (std::size_t i = 0; i < times.size(); ++i) {
+    const auto from = i % 3 == 0 ? peer : dev;
+    const auto to = i % 2 == 0 ? make_ip(10, 0, 0, 99) : make_ip(52, 20, 0, 1);
+    packets.push_back(Packet{times[i], from, to, 5000, 80, Protocol::kTcp, 80});
+  }
+  // Reference: suffix counts over the largest boundary index k <= windows
+  // with t >= k * window_s (0 when there is none, as for NaN).
+  std::vector<std::vector<std::uint64_t>> want(2, std::vector<std::uint64_t>(
+                                                      windows + 1, 0));
+  std::vector<std::vector<std::uint64_t>> want_lateral = want;
+  for (const auto& p : packets) {
+    std::size_t k = 0;
+    for (std::size_t j = 1; j <= windows; ++j) {
+      if (p.timestamp_s >= static_cast<double>(j) * rig.options.window_s) k = j;
+    }
+    const std::size_t d = p.src_ip == dev ? 0 : 1;  // ascending-IP order
+    const bool lateral = is_lan(p.dst_ip);
+    for (std::size_t j = 0; j <= k; ++j) {
+      ++want[d][j];
+      if (lateral) ++want_lateral[d][j];
+    }
+  }
+  auto reversed = packets;
+  std::reverse(reversed.begin(), reversed.end());
+  auto interleaved = packets;
+  for (std::size_t i = 0; i + 1 < interleaved.size(); i += 2) {
+    std::swap(interleaved[i], interleaved[i + 1]);
+  }
+  for (const auto* capture : {&packets, &reversed, &interleaved}) {
+    const auto counts = gateway.policy_counts(*capture, duration);
+    ASSERT_EQ(counts.size(), 2u);
+    for (std::size_t d = 0; d < 2; ++d) {
+      EXPECT_EQ(counts[d].nonexempt_from, want[d]) << "device " << d;
+      EXPECT_EQ(counts[d].lateral_nonexempt_from, want_lateral[d])
+          << "device " << d;
+    }
+  }
 }
 
 TEST(GatewayPolicy, LateralAppliesOnlyToUnregisteredPeers) {
