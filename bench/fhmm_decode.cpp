@@ -8,11 +8,12 @@
 // stage, O(T * K * sum_c n_c), with no joint table.
 //
 // This bench first *validates* the factored path against the naive
-// reference (decoded joint paths must be identical, log-likelihoods equal to
-// rounding), then times both on a 7-day minute-resolution trace at K = 2048.
-// Acceptance bar: >= 10x speedup. A second, factored-only timing runs at
-// K = 4096 — a size where the naive decoder's joint table alone would be
-// 128 MiB — to pin the cost of the raised state-space cap.
+// reference in tests/support (decoded joint paths must be identical,
+// log-likelihoods equal to rounding), then times both on a 7-day
+// minute-resolution trace at K = 2048. Acceptance bar: >= 10x speedup. A
+// second, factored-only timing runs at K = 4096 — a size where the naive
+// decoder's joint table alone would be 128 MiB — to pin the cost of the
+// raised state-space cap.
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -24,6 +25,7 @@
 #include "common/table.h"
 #include "ml/fhmm.h"
 #include "simd/simd.h"
+#include "support/fhmm_oracle.h"
 
 using namespace pmiot;
 
@@ -121,10 +123,8 @@ int main() {
   const auto f1 = bench::Clock::now();
   std::cout << "factored decode done, validating against naive reference "
                "(this is the slow part)...\n";
-  ml::FhmmDecodeOptions naive_options;
-  naive_options.algorithm = ml::FhmmDecodeAlgorithm::kNaiveJoint;
   const auto n0 = bench::Clock::now();
-  const auto naive = fhmm.decode(aggregate, naive_options);
+  const auto naive = oracle::decode_naive(fhmm, aggregate);
   const auto n1 = bench::Clock::now();
 
   // Self-check before any timing claims: identical decoded paths, and

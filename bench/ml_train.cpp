@@ -14,9 +14,10 @@
 // flat training matrix with precomputed squared norms.
 //
 // This bench first *validates* the new kernels against seed-faithful
-// references — presorted vs per-node-sort trees must predict identically,
-// the parallel forest must match a serial seed replica, and the kNN batch
-// kernel must match both per-row predict and a naive full-sort reference —
+// references — presorted trees must match the per-node-sort reference
+// tree, the parallel forest must match the serial per-node-sort reference
+// forest (both in tests/support), and the kNN batch kernel must match both
+// per-row predict and a naive full-sort reference —
 // and only then times forest fit and kNN batch predict at the reference
 // config (20k rows x 24 features, 64 trees). Acceptance bar: >= 5x forest
 // fit speedup. Pass --self-check to run the validation suite at small sizes
@@ -38,6 +39,7 @@
 #include "ml/random_forest.h"
 #include "obs/metrics.h"
 #include "simd/simd.h"
+#include "support/tree_oracle.h"
 
 using namespace pmiot;
 
@@ -63,47 +65,6 @@ ml::Dataset make_classification(std::size_t n, std::size_t d, int classes,
     data.append(std::move(row), label);
   }
   return data;
-}
-
-/// Seed-faithful serial forest fit: per-tree deep-copied bootstrap dataset,
-/// per-node-sort tree induction, one RNG stream drawn in the seed's order
-/// (n index draws then the tree seed, per tree).
-struct SeedForest {
-  std::vector<ml::DecisionTree> trees;
-  int num_classes = 0;
-
-  int predict(std::span<const double> row) const {
-    std::vector<int> votes(static_cast<std::size_t>(num_classes), 0);
-    for (const auto& tree : trees) {
-      ++votes[static_cast<std::size_t>(tree.predict(row))];
-    }
-    return static_cast<int>(std::max_element(votes.begin(), votes.end()) -
-                            votes.begin());
-  }
-};
-
-SeedForest seed_forest_fit(const ml::Dataset& data, int num_trees,
-                           ml::TreeOptions tree_options, std::uint64_t seed) {
-  SeedForest forest;
-  forest.num_classes = data.num_classes();
-  tree_options.split_algorithm = ml::SplitAlgorithm::kPerNodeSort;
-  if (tree_options.max_features == 0) {
-    tree_options.max_features = static_cast<std::size_t>(
-        std::max(1.0, std::round(std::sqrt(static_cast<double>(data.width())))));
-  }
-  Rng rng(seed);
-  for (int t = 0; t < num_trees; ++t) {
-    ml::Dataset sample;
-    for (std::size_t i = 0; i < data.size(); ++i) {
-      const auto j = static_cast<std::size_t>(
-          rng.uniform_int(0, static_cast<std::int64_t>(data.size()) - 1));
-      sample.append(data.rows[j], data.labels[j]);
-    }
-    ml::DecisionTree tree(tree_options, rng.next());
-    tree.fit(sample);
-    forest.trees.push_back(std::move(tree));
-  }
-  return forest;
 }
 
 /// Seed-faithful kNN reference: subtract-kernel distances, full sort by
@@ -139,17 +100,14 @@ int seed_knn_predict(const ml::Dataset& train, int k,
   return best;
 }
 
-/// Fits one tree with each split algorithm on `data` and requires identical
-/// predictions over `data` and `probe` plus identical shape.
+/// Fits the presorted tree and the per-node-sort reference on `data` and
+/// requires identical predictions over `data` and `probe` plus identical
+/// shape.
 bool check_tree_pair(const ml::Dataset& data, const ml::Dataset& probe,
                      ml::TreeOptions options, std::uint64_t seed,
                      const std::string& what) {
-  ml::TreeOptions presorted = options;
-  presorted.split_algorithm = ml::SplitAlgorithm::kPresorted;
-  ml::TreeOptions reference = options;
-  reference.split_algorithm = ml::SplitAlgorithm::kPerNodeSort;
-  ml::DecisionTree fast(presorted, seed);
-  ml::DecisionTree slow(reference, seed);
+  ml::DecisionTree fast(options, seed);
+  oracle::PerNodeSortTree slow(options, seed);
   fast.fit(data);
   slow.fit(data);
   if (fast.node_count() != slow.node_count() || fast.depth() != slow.depth()) {
@@ -230,8 +188,8 @@ int main(int argc, char** argv) {
   forest_options.num_trees = num_trees;
 
   const auto r0 = bench::Clock::now();
-  const auto reference = seed_forest_fit(train, num_trees, forest_options.tree,
-                                         kForestSeed);
+  oracle::PerNodeSortForest reference(forest_options, kForestSeed);
+  reference.fit(train);
   const auto r1 = bench::Clock::now();
 
   ml::RandomForest forest(forest_options, kForestSeed);

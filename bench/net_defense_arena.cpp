@@ -5,7 +5,7 @@
 // PMIOT_THREADS ∈ {1, 4, 16} and PMIOT_SIMD ON/OFF):
 //   * intensity 0 is a bitwise passthrough for every registered defense;
 //   * shaped captures run through the streaming WindowAccumulator match
-//     the per-window extract_window_features reference bit for bit;
+//     the per-window rescan reference (tests/support) bit for bit;
 //   * the pooled arena == the serial per-cell oracle, bitwise, and pool
 //     widths 1 / 4 / default agree in-process (ScopedPoolOverride);
 //   * the net arena config round-trips through its canonical text;
@@ -31,6 +31,7 @@
 #include "net/device.h"
 #include "net/features.h"
 #include "net/shaping.h"
+#include "support/net_oracles.h"
 
 using namespace pmiot;
 
@@ -106,7 +107,7 @@ int self_check() {
         for (const auto& row : rows) {
           const double t0 =
               static_cast<double>(row.window_index) * window_s;
-          const auto reference = net::extract_window_features(
+          const auto reference = oracle::extract_window_features(
               wan, device.ip, t0, t0 + window_s);
           if (row.features != reference) {
             return fail("WindowAccumulator diverges from "

@@ -97,6 +97,12 @@ DatasetView::DatasetView(const Dataset& data) {
 
 void DatasetView::ensure_sort_index() {
   if (has_sort_index() || d_ == 0) return;
+  // NaN has no place in a strict weak ordering, so sorting it would be
+  // undefined behaviour (and the builder would then pick splits that send
+  // every row one way). Reject it before anything is sorted or resized.
+  PMIOT_CHECK(std::none_of(columns_.begin(), columns_.end(),
+                           [](double v) { return std::isnan(v); }),
+              "tree fits need features without NaN (±inf are allowed)");
   sort_index_.resize(d_ * n_);
   sorted_values_.resize(d_ * n_);
   sorted_labels_.resize(d_ * n_);

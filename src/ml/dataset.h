@@ -77,7 +77,9 @@ class DatasetView {
   /// `column(f)` in ascending value order, equal values in row order. Also
   /// materializes the values and labels in that order (`sorted_values`,
   /// `sorted_labels`), so per-tree bootstrap derivation streams them
-  /// sequentially instead of gathering through the row ids.
+  /// sequentially instead of gathering through the row ids. Throws
+  /// `InvalidArgument` if any feature value is NaN, which has no place in
+  /// the order; ±inf sort like any other value.
   void ensure_sort_index();
   bool has_sort_index() const noexcept { return !sort_index_.empty(); }
 

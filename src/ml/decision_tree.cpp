@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
-#include <utility>
 
 #include "common/error.h"
 #include "common/parallel.h"
@@ -30,7 +29,8 @@ obs::Counter& boundary_scans_counter() {
 /// Classes with count 0 contribute exactly 0.0 (g -= 0.0 leaves g unchanged
 /// bitwise), so the value is independent of whether `counts` is sized to the
 /// node's classes or the full dataset's, and the zero-count skip below is a
-/// pure division saving — both builders rely on that.
+/// pure division saving — the builder and the per-node-sort reference in
+/// tests/support rely on that.
 double gini(const std::vector<std::size_t>& counts, std::size_t total) {
   double g = 1.0;
   for (auto c : counts) {
@@ -87,7 +87,8 @@ TreeScratch& tree_scratch() {
 /// Grows a tree over per-feature presorted orders.
 ///
 /// Instead of re-sorting every candidate feature at every node (the
-/// `kPerNodeSort` reference), the builder materializes each feature's
+/// per-node-sort reference in tests/support), the builder materializes each
+/// feature's
 /// (position, value, label) triplets in ascending value order once, then:
 ///
 ///  * split search is a linear scan of the node's segment of that order —
@@ -117,8 +118,7 @@ class PresortedBuilder {
 
   void run() {
     if (d_ == 0) {
-      // No features: the reference builder finds no split and emits a
-      // single leaf.
+      // No features: no split to find, so the tree is a single leaf.
       std::vector<std::size_t> counts(k_, 0);
       for (auto r : sample_) ++counts[static_cast<std::size_t>(view_.label(r))];
       tree_.arena_.push_leaf(majority(counts));
@@ -148,80 +148,59 @@ class PresortedBuilder {
   double* val(int buf, std::size_t f) { return s_.val[buf].data() + f * n_; }
   int* lab(int buf, std::size_t f) { return s_.lab[buf].data() + f * n_; }
 
-  /// Fills buffer 0 with the per-feature sorted triplets. With a shared
-  /// `sort_index` on the view (the forest path), each feature's order for
-  /// this sample is derived from the full-data order by a linear counting
-  /// pass — no per-tree sort at all. Ties between equal values land in
-  /// (row, draw) order rather than pure draw order, which is immaterial:
-  /// split scores, thresholds, and partitions only ever distinguish
-  /// *values*, never the order within an equal-value run.
+  /// Fills buffer 0 with the per-feature sorted triplets. Each feature's
+  /// order for this sample is derived from the view's shared full-data
+  /// `sort_index` by a linear counting pass — no per-tree sort at all. Ties
+  /// between equal values land in (row, draw) order rather than pure draw
+  /// order, which is immaterial: split scores, thresholds, and partitions
+  /// only ever distinguish *values*, never the order within an equal-value
+  /// run.
   void init_orders() {
-    const int* labels = view_.labels().data();
-    if (view_.has_sort_index()) {
-      const std::size_t rows = view_.rows();
-      bool identity = n_ == rows;
-      for (std::size_t p = 0; identity && p < n_; ++p) {
-        identity = sample_[p] == p;
-      }
-      if (identity) {
-        // Whole-dataset fit: the sample orders ARE the full-data orders.
-        for (std::size_t f = 0; f < d_; ++f) {
-          const auto si = view_.sort_index(f);
-          const auto sv = view_.sorted_values(f);
-          const auto sl = view_.sorted_labels(f);
-          std::copy(si.begin(), si.end(), pos(0, f));
-          std::copy(sv.begin(), sv.end(), val(0, f));
-          std::copy(sl.begin(), sl.end(), lab(0, f));
-        }
-        return;
-      }
-      // Bucket the sample's positions by row id (ascending position within
-      // each row), then emit them in each feature's full-data value order.
-      s_.offsets.assign(rows + 1, 0);
-      for (auto r : sample_) ++s_.offsets[r + 1];
-      for (std::size_t i = 0; i < rows; ++i) s_.offsets[i + 1] += s_.offsets[i];
-      s_.row_positions.resize(n_);
-      s_.cursor.assign(s_.offsets.begin(), s_.offsets.end() - 1);
-      for (std::size_t p = 0; p < n_; ++p) {
-        s_.row_positions[s_.cursor[sample_[p]]++] = static_cast<std::uint32_t>(p);
-      }
+    const std::size_t rows = view_.rows();
+    bool identity = n_ == rows;
+    for (std::size_t p = 0; identity && p < n_; ++p) {
+      identity = sample_[p] == p;
+    }
+    if (identity) {
+      // Whole-dataset fit: the sample orders ARE the full-data orders.
       for (std::size_t f = 0; f < d_; ++f) {
-        const std::uint32_t* si = view_.sort_index(f).data();
-        const double* sv = view_.sorted_values(f).data();
-        const int* sl = view_.sorted_labels(f).data();
-        std::uint32_t* pf = pos(0, f);
-        double* vf = val(0, f);
-        int* lf = lab(0, f);
-        std::size_t out = 0;
-        for (std::size_t rank = 0; rank < rows; ++rank) {
-          const std::uint32_t row = si[rank];
-          const std::uint32_t begin = s_.offsets[row];
-          const std::uint32_t end = s_.offsets[row + 1];
-          for (std::uint32_t j = begin; j < end; ++j) {
-            pf[out] = s_.row_positions[j];
-            vf[out] = sv[rank];
-            lf[out] = sl[rank];
-            ++out;
-          }
-        }
+        const auto si = view_.sort_index(f);
+        const auto sv = view_.sorted_values(f);
+        const auto sl = view_.sorted_labels(f);
+        std::copy(si.begin(), si.end(), pos(0, f));
+        std::copy(sv.begin(), sv.end(), val(0, f));
+        std::copy(sl.begin(), sl.end(), lab(0, f));
       }
       return;
     }
-    // No shared index: argsort each feature over the sample directly.
-    std::vector<std::pair<double, std::uint32_t>> keyed(n_);
+    // Bucket the sample's positions by row id (ascending position within
+    // each row), then emit them in each feature's full-data value order.
+    s_.offsets.assign(rows + 1, 0);
+    for (auto r : sample_) ++s_.offsets[r + 1];
+    for (std::size_t i = 0; i < rows; ++i) s_.offsets[i + 1] += s_.offsets[i];
+    s_.row_positions.resize(n_);
+    s_.cursor.assign(s_.offsets.begin(), s_.offsets.end() - 1);
+    for (std::size_t p = 0; p < n_; ++p) {
+      s_.row_positions[s_.cursor[sample_[p]]++] = static_cast<std::uint32_t>(p);
+    }
     for (std::size_t f = 0; f < d_; ++f) {
-      const double* col = view_.column(f).data();
-      for (std::size_t p = 0; p < n_; ++p) {
-        keyed[p] = {col[sample_[p]], static_cast<std::uint32_t>(p)};
-      }
-      std::sort(keyed.begin(), keyed.end());
+      const std::uint32_t* si = view_.sort_index(f).data();
+      const double* sv = view_.sorted_values(f).data();
+      const int* sl = view_.sorted_labels(f).data();
       std::uint32_t* pf = pos(0, f);
       double* vf = val(0, f);
       int* lf = lab(0, f);
-      for (std::size_t r = 0; r < n_; ++r) {
-        pf[r] = keyed[r].second;
-        vf[r] = keyed[r].first;
-        lf[r] = labels[sample_[keyed[r].second]];
+      std::size_t out = 0;
+      for (std::size_t rank = 0; rank < rows; ++rank) {
+        const std::uint32_t row = si[rank];
+        const std::uint32_t begin = s_.offsets[row];
+        const std::uint32_t end = s_.offsets[row + 1];
+        for (std::uint32_t j = begin; j < end; ++j) {
+          pf[out] = s_.row_positions[j];
+          vf[out] = sv[rank];
+          lf[out] = sl[rank];
+          ++out;
+        }
       }
     }
   }
@@ -652,15 +631,6 @@ DecisionTree::DecisionTree(TreeOptions options, std::uint64_t seed)
 void DecisionTree::fit(const Dataset& data) {
   data.validate();
   PMIOT_CHECK(!data.rows.empty(), "cannot fit on empty dataset");
-  if (options_.split_algorithm == SplitAlgorithm::kPerNodeSort) {
-    arena_.clear();
-    arena_.begin_tree();
-    depth_ = 0;
-    std::vector<std::size_t> indices(data.size());
-    std::iota(indices.begin(), indices.end(), 0);
-    build(data, indices, 0);
-    return;
-  }
   DatasetView view(data);
   view.ensure_sort_index();
   std::vector<std::size_t> sample(data.size());
@@ -671,108 +641,16 @@ void DecisionTree::fit(const Dataset& data) {
 void DecisionTree::fit_view(const DatasetView& view,
                             std::span<const std::size_t> sample) {
   PMIOT_CHECK(!sample.empty(), "cannot fit on an empty sample");
+  PMIOT_CHECK(view.width() == 0 || view.has_sort_index(),
+              "fit_view needs the view's sort index (ensure_sort_index)");
   for (auto r : sample) {
     PMIOT_CHECK(r < view.rows(), "sample row id out of range");
   }
   arena_.clear();
   arena_.begin_tree();
   depth_ = 0;
-  if (options_.split_algorithm == SplitAlgorithm::kPerNodeSort) {
-    // Reference path: materialize the sample (the seed's bootstrap deep
-    // copy) and run the per-node-sort builder over it.
-    Dataset materialized;
-    materialized.rows.reserve(sample.size());
-    materialized.labels.reserve(sample.size());
-    for (auto r : sample) {
-      std::vector<double> row(view.width());
-      for (std::size_t f = 0; f < view.width(); ++f) {
-        row[f] = view.column(f)[r];
-      }
-      materialized.rows.push_back(std::move(row));
-      materialized.labels.push_back(view.label(r));
-    }
-    std::vector<std::size_t> indices(sample.size());
-    std::iota(indices.begin(), indices.end(), 0);
-    build(materialized, indices, 0);
-    return;
-  }
   PresortedBuilder builder(*this, view, sample);
   builder.run();
-}
-
-int DecisionTree::build(const Dataset& data, std::vector<std::size_t>& indices,
-                        int depth) {
-  depth_ = std::max(depth_, depth);
-  const auto k = static_cast<std::size_t>(data.num_classes());
-  std::vector<std::size_t> counts(k, 0);
-  for (auto i : indices) ++counts[static_cast<std::size_t>(data.labels[i])];
-  const int node_label = majority(counts);
-  const double node_gini = gini(counts, indices.size());
-
-  const std::int32_t node_id = arena_.push_leaf(node_label);
-
-  if (depth >= options_.max_depth || indices.size() < options_.min_samples ||
-      node_gini == 0.0) {
-    return node_id;
-  }
-
-  // Candidate features (all, or a random subset for forests).
-  const std::size_t width = data.width();
-  std::vector<std::size_t> features(width);
-  std::iota(features.begin(), features.end(), 0);
-  if (options_.max_features > 0 && options_.max_features < width) {
-    rng_.shuffle(features);
-    features.resize(options_.max_features);
-  }
-
-  // Best split search: sort indices by each candidate feature and scan.
-  double best_score = node_gini;
-  int best_feature = -1;
-  double best_threshold = 0.0;
-  std::vector<std::size_t> sorted = indices;
-  for (auto f : features) {
-    std::sort(sorted.begin(), sorted.end(), [&](std::size_t a, std::size_t b) {
-      return data.rows[a][f] < data.rows[b][f];
-    });
-    std::vector<std::size_t> left_counts(k, 0);
-    std::vector<std::size_t> right_counts = counts;
-    for (std::size_t pos = 0; pos + 1 < sorted.size(); ++pos) {
-      const auto lbl = static_cast<std::size_t>(data.labels[sorted[pos]]);
-      ++left_counts[lbl];
-      --right_counts[lbl];
-      const double x = data.rows[sorted[pos]][f];
-      const double x_next = data.rows[sorted[pos + 1]][f];
-      if (x == x_next) continue;  // cannot split between equal values
-      const auto n_left = pos + 1;
-      const auto n_right = sorted.size() - n_left;
-      const double score =
-          (static_cast<double>(n_left) * gini(left_counts, n_left) +
-           static_cast<double>(n_right) * gini(right_counts, n_right)) /
-          static_cast<double>(sorted.size());
-      if (score + 1e-12 < best_score) {
-        best_score = score;
-        best_feature = static_cast<int>(f);
-        best_threshold = split_threshold(x, x_next);
-      }
-    }
-  }
-
-  if (best_feature < 0) return node_id;  // no impurity-reducing split found
-
-  std::vector<std::size_t> left_idx, right_idx;
-  for (auto i : indices) {
-    if (data.rows[i][static_cast<std::size_t>(best_feature)] <= best_threshold)
-      left_idx.push_back(i);
-    else
-      right_idx.push_back(i);
-  }
-  PMIOT_ASSERT(!left_idx.empty() && !right_idx.empty(),
-               "degenerate split selected");
-
-  const std::int32_t left = build(data, left_idx, depth + 1);
-  const std::int32_t right = build(data, right_idx, depth + 1);
-  arena_.set_split(node_id, best_feature, best_threshold, left, right);
-  return node_id;
 }
 
 int DecisionTree::predict(std::span<const double> row) const {

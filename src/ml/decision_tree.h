@@ -14,29 +14,17 @@
 
 namespace pmiot::ml {
 
-/// Split-search strategy. Both strategies choose identical splits (the
-/// score arithmetic and tie-breaking are shared bit for bit); they differ
-/// only in how the candidate boundaries are enumerated.
-enum class SplitAlgorithm {
-  /// Default: argsort every feature once at fit time, then grow the tree
-  /// with linear scans over the presorted order and a stable partition of
-  /// that order at each split — O(d·n) per level instead of
-  /// O(d·n·log n) per node.
-  kPresorted,
-  /// Reference (the seed implementation): re-sort every candidate feature
-  /// at every node. Kept for the equivalence self-checks in
-  /// `bench/ml_train` and the randomized property tests.
-  kPerNodeSort,
-};
-
-/// Hyper-parameters for tree induction.
+/// Hyper-parameters for tree induction. Trees are grown over per-feature
+/// orders sorted once at fit time: linear scans of the presorted order find
+/// each split, and a stable partition of that order carries it to the
+/// children, O(d·n) per level. The per-node-sort reference it must match
+/// bit for bit lives in the test-support library (tests/support).
 struct TreeOptions {
   int max_depth = 12;           ///< hard depth limit
   std::size_t min_samples = 2;  ///< do not split nodes smaller than this
   /// Number of candidate features per split; 0 means all features
   /// (set to sqrt(width) by the random forest).
   std::size_t max_features = 0;
-  SplitAlgorithm split_algorithm = SplitAlgorithm::kPresorted;
 };
 
 /// The one representation of fitted trees: every node of every tree in a
@@ -102,6 +90,8 @@ class DecisionTree final : public Classifier {
  public:
   explicit DecisionTree(TreeOptions options = {}, std::uint64_t seed = 1);
 
+  /// Throws `InvalidArgument` for an empty dataset or a NaN feature value
+  /// (±inf are ordinary values).
   void fit(const Dataset& data) override;
   int predict(std::span<const double> row) const override;
   std::vector<int> predict_all(const Dataset& data) const override;
@@ -110,8 +100,10 @@ class DecisionTree final : public Classifier {
   /// Fits on `view` restricted to the rows listed in `sample` (duplicates
   /// allowed — a bootstrap draw is just a multiset of row ids). This is the
   /// random forest's path: no per-tree copy of the dataset, and `view`'s
-  /// shared `sort_index` (if present) replaces the per-tree argsort with a
-  /// linear counting pass. Equivalent to `fit` on the materialized sample.
+  /// shared `sort_index` replaces the per-tree argsort with a linear
+  /// counting pass. Equivalent to `fit` on the materialized sample. Throws
+  /// `InvalidArgument` for an empty sample, an out-of-range row id, or a
+  /// view with features but no `ensure_sort_index()`.
   void fit_view(const DatasetView& view, std::span<const std::size_t> sample);
 
   std::size_t node_count() const noexcept { return arena_.node_count(); }
@@ -121,8 +113,6 @@ class DecisionTree final : public Classifier {
 
  private:
   friend class PresortedBuilder;
-
-  int build(const Dataset& data, std::vector<std::size_t>& indices, int depth);
 
   TreeOptions options_;
   Rng rng_;

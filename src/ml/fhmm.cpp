@@ -24,11 +24,6 @@ obs::Counter& chain_eliminations_counter() {
 constexpr double kMinProb = 1e-9;
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 
-/// Joint log-transition tables are only materialized for the naive
-/// reference decoder, and only while they stay small (2048^2 doubles =
-/// 32 MiB); beyond that the reference sums per-chain tables on the fly.
-constexpr std::size_t kNaivePrecomputeMax = 2048;
-
 }  // namespace
 
 void ApplianceChain::validate() const {
@@ -162,15 +157,6 @@ void FactorialHmm::chain_log_transitions(
   }
 }
 
-FhmmDecoding FactorialHmm::decode(std::span<const double> aggregate,
-                                  FhmmDecodeOptions options) const {
-  PMIOT_CHECK(!aggregate.empty(), "need observations");
-  if (options.algorithm == FhmmDecodeAlgorithm::kNaiveJoint) {
-    return decode_naive(aggregate);
-  }
-  return decode_factored(aggregate);
-}
-
 FhmmDecoding FactorialHmm::backtrack(
     const std::vector<double>& delta, const std::vector<std::int32_t>& psi,
     std::size_t t_max, const std::vector<std::int32_t>& unpacked) const {
@@ -199,101 +185,6 @@ FhmmDecoding FactorialHmm::backtrack(
   return out;
 }
 
-// Reference joint Viterbi, kept bit-compatible with the seed decoder: the
-// per-(a, b) joint log transition is the per-chain logs summed in chain
-// order, and the inner argmax scans predecessors in ascending joint-id order
-// with a strict `>`, so the first (lowest) id wins ties. Relative to the
-// seed, scratch is flat (contiguous psi, flat unpack table, per-chain log
-// tables instead of log() calls in the inner loop) and the joint table is
-// stored transposed so the scan over `a` is sequential — none of which
-// changes any compared value or comparison order.
-FhmmDecoding FactorialHmm::decode_naive(
-    std::span<const double> aggregate) const {
-  const std::size_t k = joint_count_;
-  const std::size_t t_max = aggregate.size();
-  const std::size_t num_chains = chains_.size();
-
-  const auto unpacked = unpack_all();
-  std::vector<double> chain_lt;
-  std::vector<std::size_t> lt_offset;
-  chain_log_transitions(chain_lt, lt_offset);
-
-  std::vector<double> log_init(k, 0.0);
-  for (std::size_t j = 0; j < k; ++j) {
-    const std::int32_t* states = unpacked.data() + j * num_chains;
-    for (std::size_t c = 0; c < num_chains; ++c) {
-      log_init[j] += std::log(std::max(
-          chains_[c].initial[static_cast<std::size_t>(states[c])], kMinProb));
-    }
-  }
-
-  // Transposed joint table: log_trans_t[b * k + a] = sum_c log T_c(a_c, b_c).
-  const bool precompute = k <= kNaivePrecomputeMax;
-  std::vector<double> log_trans_t;
-  if (precompute) {
-    log_trans_t.resize(k * k);
-    for (std::size_t b = 0; b < k; ++b) {
-      const std::int32_t* ub = unpacked.data() + b * num_chains;
-      for (std::size_t a = 0; a < k; ++a) {
-        const std::int32_t* ua = unpacked.data() + a * num_chains;
-        double lt = 0.0;
-        for (std::size_t c = 0; c < num_chains; ++c) {
-          const std::size_t n = chains_[c].num_states();
-          lt += chain_lt[lt_offset[c] + static_cast<std::size_t>(ua[c]) * n +
-                         static_cast<std::size_t>(ub[c])];
-        }
-        log_trans_t[b * k + a] = lt;
-      }
-    }
-  }
-
-  const double inv_2var = 0.5 / (noise_stddev_ * noise_stddev_);
-  const double log_norm = -std::log(noise_stddev_ * std::sqrt(2.0 * M_PI));
-  auto emission_log = [&](std::size_t j, double obs) {
-    const double d = obs - joint_power_[j];
-    return log_norm - d * d * inv_2var;
-  };
-
-  std::vector<double> delta(k);
-  std::vector<double> next_delta(k);
-  std::vector<std::int32_t> psi(t_max * k, 0);
-
-  for (std::size_t j = 0; j < k; ++j) {
-    delta[j] = log_init[j] + emission_log(j, aggregate[0]);
-  }
-  for (std::size_t t = 1; t < t_max; ++t) {
-    for (std::size_t b = 0; b < k; ++b) {
-      const double* row = precompute ? log_trans_t.data() + b * k : nullptr;
-      const std::int32_t* ub = unpacked.data() + b * num_chains;
-      double best = kNegInf;
-      std::int32_t best_prev = 0;
-      for (std::size_t a = 0; a < k; ++a) {
-        double lt;
-        if (row != nullptr) {
-          lt = row[a];
-        } else {
-          lt = 0.0;
-          const std::int32_t* ua = unpacked.data() + a * num_chains;
-          for (std::size_t c = 0; c < num_chains; ++c) {
-            const std::size_t n = chains_[c].num_states();
-            lt += chain_lt[lt_offset[c] + static_cast<std::size_t>(ua[c]) * n +
-                           static_cast<std::size_t>(ub[c])];
-          }
-        }
-        const double cand = delta[a] + lt;
-        if (cand > best) {
-          best = cand;
-          best_prev = static_cast<std::int32_t>(a);
-        }
-      }
-      next_delta[b] = best + emission_log(b, aggregate[t]);
-      psi[t * k + b] = best_prev;
-    }
-    delta.swap(next_delta);
-  }
-  return backtrack(delta, psi, t_max, unpacked);
-}
-
 // Factored (chainwise max-sum) Viterbi. Per timestep, the joint
 // maximization over all K predecessors is computed by eliminating one
 // chain at a time: with `cur` initialized to delta, the stage for chain c
@@ -309,9 +200,9 @@ FhmmDecoding FactorialHmm::decode_naive(
 // chain 0 (most significant) with a strict `>` over ascending a_c, which
 // greedily lexicographically minimizes (a_0, .., a_{C-1}) over the argmax
 // set — i.e. exact ties resolve to the lowest joint id, matching the naive
-// reference's first-index-wins scan.
-FhmmDecoding FactorialHmm::decode_factored(
-    std::span<const double> aggregate) const {
+// joint Viterbi's first-index-wins scan.
+FhmmDecoding FactorialHmm::decode(std::span<const double> aggregate) const {
+  PMIOT_CHECK(!aggregate.empty(), "need observations");
   static obs::Timer& decode_timer =
       obs::MetricsRegistry::instance().timer("ml.fhmm.decode_factored");
   obs::ScopedTimer span(decode_timer);

@@ -52,20 +52,6 @@ struct FhmmDecoding {
   double log_likelihood = 0.0;
 };
 
-/// Which decoder `FactorialHmm::decode` runs.
-enum class FhmmDecodeAlgorithm {
-  /// Chainwise max-sum elimination, O(T * K * sum_c n_c). Returns the same
-  /// decoded path as the naive reference (first-index tie-breaking).
-  kFactored,
-  /// Reference joint Viterbi, O(T * K^2). Kept for validation and as the
-  /// timing baseline; prohibitively slow for large K.
-  kNaiveJoint,
-};
-
-struct FhmmDecodeOptions {
-  FhmmDecodeAlgorithm algorithm = FhmmDecodeAlgorithm::kFactored;
-};
-
 class FactorialHmm {
  public:
   /// Upper bound on the joint state space (product of per-chain states).
@@ -83,13 +69,13 @@ class FactorialHmm {
   std::size_t joint_state_count() const noexcept { return joint_count_; }
 
   const ApplianceChain& chain(std::size_t i) const { return chains_[i]; }
+  double noise_stddev() const noexcept { return noise_stddev_; }
 
-  /// Viterbi decode of an aggregate trace. The default factored algorithm
-  /// costs O(T * K * sum_c n_c); pass options to select the naive O(T * K^2)
-  /// reference. Both algorithms break score ties toward the lowest joint
-  /// state id, so their decoded paths coincide.
-  FhmmDecoding decode(std::span<const double> aggregate,
-                      FhmmDecodeOptions options = {}) const;
+  /// Viterbi decode of an aggregate trace by chainwise max-sum elimination,
+  /// O(T * K * sum_c n_c). Score ties break toward the lowest joint state
+  /// id, so the decoded path is the one the naive O(T * K^2) joint Viterbi
+  /// (the reference in tests/support) finds. Requires a non-empty trace.
+  FhmmDecoding decode(std::span<const double> aggregate) const;
 
  private:
   /// Flat K x C table: entry [j * num_appliances() + c] is chain c's state
@@ -102,10 +88,7 @@ class FactorialHmm {
   void chain_log_transitions(std::vector<double>& flat,
                              std::vector<std::size_t>& offsets) const;
 
-  FhmmDecoding decode_naive(std::span<const double> aggregate) const;
-  FhmmDecoding decode_factored(std::span<const double> aggregate) const;
-
-  /// Shared epilogue: backtracks `psi` from the best final state and fills
+  /// Decode epilogue: backtracks `psi` from the best final state and fills
   /// the decoding result from the flat unpack table.
   FhmmDecoding backtrack(const std::vector<double>& delta,
                          const std::vector<std::int32_t>& psi,

@@ -5,13 +5,11 @@
 // transmit, and where those transmissions are directed". The feature vector
 // captures exactly those three axes per device per observation window.
 //
-// Two extraction paths produce identical results:
-//   * `extract_window_features` — the readable reference: rescans the
-//     packet span for one device and one window.
-//   * `WindowAccumulator` (window_accumulator.h) — the streaming path used
-//     by `windowed_features` and the gateway: one pass over a home's
-//     capture for every window of every device. Property tests keep the
-//     two bit-for-bit equal.
+// One extraction path: `windowed_features` drives a `WindowAccumulator`
+// (window_accumulator.h) through one pass over a home's capture for every
+// window of every device. The readable per-window rescan it must match bit
+// for bit lives in the test-support library (tests/support/net_oracles.h),
+// next to the property tests and self-checks that compare the two.
 #pragma once
 
 #include <cstddef>
@@ -24,7 +22,7 @@
 
 namespace pmiot::net {
 
-/// Names of the features emitted by `extract_window_features`, in order.
+/// Names of the features in every `WindowRow::features`, in order.
 const std::vector<std::string>& feature_names();
 
 /// Positions of the features that policy code reads by index (the gateway's
@@ -43,20 +41,6 @@ void check_feature_layout();
 /// constant so the default-path output is pinned, not incidental.
 inline constexpr std::uint32_t kDefaultRouterIp = (10u << 24) | 1u;
 
-/// Computes the feature vector for one device (identified by its LAN IP)
-/// over packets within [t0, t1). `packets` may contain other devices'
-/// traffic; only packets to/from `device_ip` count. Returns a vector sized
-/// feature_names().size() (all zeros if the device was silent).
-/// `router_ip` is the gateway's own address: traffic to/from it is neither
-/// a LAN peer (`lan_fraction`) nor a remote (`distinct_remotes`). Deployments
-/// with a non-default `GatewayOptions::router_ip` must thread it through, or
-/// the router is miscounted as an ordinary LAN peer.
-std::vector<double> extract_window_features(std::span<const Packet> packets,
-                                            std::uint32_t device_ip,
-                                            double t0, double t1,
-                                            std::uint32_t router_ip =
-                                                kDefaultRouterIp);
-
 /// One window's feature vector, tagged with its wall-clock window number
 /// (window k covers [k * window_s, (k+1) * window_s)), so downstream code
 /// can align rows with time even when idle windows are omitted.
@@ -72,6 +56,10 @@ struct WindowRow {
 /// By default windows with no device traffic are omitted; their indices are
 /// still consumed, so `window_index` always reflects wall-clock position.
 /// With `keep_idle_windows` every window is returned (idle ones all-zero).
+/// `router_ip` is the gateway's own address: traffic to/from it is neither
+/// a LAN peer (`lan_fraction`) nor a remote (`distinct_remotes`). Deployments
+/// with a non-default `GatewayOptions::router_ip` must thread it through, or
+/// the router is miscounted as an ordinary LAN peer.
 /// Throws `InvalidArgument` for a roster that lists an address twice, for
 /// fewer than one full window, and for timestamps that are not finite or
 /// not in order; packets at or past the last full window are checked but

@@ -4,25 +4,8 @@
 #include <cstdio>
 
 #include "common/error.h"
-#include "obs/metrics.h"
 
 namespace pmiot::net {
-
-namespace {
-
-obs::Counter& flow_inserts_counter() {
-  static obs::Counter& c =
-      obs::MetricsRegistry::instance().counter("net.flow_table.flow_inserts");
-  return c;
-}
-
-obs::Counter& flow_evictions_counter() {
-  static obs::Counter& c = obs::MetricsRegistry::instance().counter(
-      "net.flow_table.flow_evictions");
-  return c;
-}
-
-}  // namespace
 
 std::uint32_t make_ip(int a, int b, int c, int d) {
   PMIOT_CHECK(a >= 0 && a <= 255 && b >= 0 && b <= 255 && c >= 0 && c <= 255 &&
@@ -74,52 +57,6 @@ std::size_t FlowKeyHash::operator()(const FlowKey& key) const noexcept {
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
   return static_cast<std::size_t>(z ^ (z >> 31));
-}
-
-FlowTable::FlowTable(double idle_timeout_s)
-    : idle_timeout_s_(idle_timeout_s) {
-  PMIOT_CHECK(idle_timeout_s > 0.0, "timeout must be positive");
-}
-
-void FlowTable::add(const Packet& packet) {
-  const FlowKey key = flow_key_of(packet);
-  // The packet travels a -> b when it leaves from the key's first endpoint.
-  const bool forward =
-      key.ip_a == packet.src_ip && key.port_a == packet.src_port;
-
-  // Find an active (non-timed-out) flow for the key.
-  if (const auto it = active_.find(key); it != active_.end()) {
-    Flow& flow = flows_[it->second];
-    if (packet.timestamp_s - flow.last_ts > idle_timeout_s_) {
-      // Timed out: retire it and start a new flow below.
-      active_.erase(it);
-      flow_evictions_counter().add();
-    } else {
-      flow.last_ts = std::max(flow.last_ts, packet.timestamp_s);
-      if (forward) {
-        ++flow.packets_ab;
-        flow.bytes_ab += static_cast<std::uint64_t>(packet.size_bytes);
-      } else {
-        ++flow.packets_ba;
-        flow.bytes_ba += static_cast<std::uint64_t>(packet.size_bytes);
-      }
-      return;
-    }
-  }
-
-  Flow flow;
-  flow.key = key;
-  flow.first_ts = flow.last_ts = packet.timestamp_s;
-  if (forward) {
-    flow.packets_ab = 1;
-    flow.bytes_ab = static_cast<std::uint64_t>(packet.size_bytes);
-  } else {
-    flow.packets_ba = 1;
-    flow.bytes_ba = static_cast<std::uint64_t>(packet.size_bytes);
-  }
-  flows_.push_back(flow);
-  active_[key] = flows_.size() - 1;
-  flow_inserts_counter().add();
 }
 
 void sort_by_time(std::vector<Packet>& packets) {

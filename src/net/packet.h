@@ -1,16 +1,16 @@
 // Packet and flow records for the simulated home IoT LAN (paper §IV).
 //
 // The substitution for libpcap on a physical network: device behaviour
-// models emit `Packet` records, and `FlowTable` aggregates them into
-// bidirectional flows the way a monitoring gateway would. Addresses are
-// synthetic; 10.0.0.0/24 is the LAN, everything else is "the Internet".
+// models emit `Packet` records, and `flow_key_of` names the bidirectional
+// flow each belongs to, which the window features count the way a
+// monitoring gateway would. Addresses are synthetic; 10.0.0.0/24 is the
+// LAN, everything else is "the Internet".
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -79,61 +79,14 @@ struct FlowKey {
 /// endpoint so both directions land on the same key.
 FlowKey flow_key_of(const Packet& packet) noexcept;
 
-/// Hash over all key fields so the flow table can index active flows.
+/// Hash over all key fields so a flow table can index active flows.
 struct FlowKeyHash {
   std::size_t operator()(const FlowKey& key) const noexcept;
 };
 
-/// Aggregated bidirectional flow statistics.
-// pmiot: sensitive — flow records summarize who talked to whom and when.
-struct Flow {
-  FlowKey key;
-  double first_ts = 0.0;
-  double last_ts = 0.0;
-  std::uint64_t packets_ab = 0;  ///< from ip_a to ip_b
-  std::uint64_t packets_ba = 0;
-  std::uint64_t bytes_ab = 0;
-  std::uint64_t bytes_ba = 0;
-
-  double duration_s() const noexcept { return last_ts - first_ts; }
-  std::uint64_t packets() const noexcept { return packets_ab + packets_ba; }
-  std::uint64_t bytes() const noexcept { return bytes_ab + bytes_ba; }
-};
-
-/// Default flow idle timeout, also the one the window features count with.
+/// Flow idle timeout the window features count with: a packet arriving
+/// more than this after its flow's last packet starts a new flow.
 inline constexpr double kFlowIdleTimeoutS = 120.0;
-
-/// Aggregates packets into flows with an idle timeout: a packet arriving
-/// more than `idle_timeout_s` after a flow's last packet starts a new flow.
-class FlowTable {
- public:
-  explicit FlowTable(double idle_timeout_s = kFlowIdleTimeoutS);
-
-  /// Adds one packet (timestamps must be non-decreasing per flow key for
-  /// the timeout logic to be meaningful; the generators guarantee global
-  /// ordering).
-  void add(const Packet& packet);
-
-  /// All flows, including ones still active, in first-packet order —
-  /// deterministic because it reflects packet arrival, never hash order.
-  const std::vector<Flow>& flows() const noexcept { return flows_; }
-
- private:
-  double idle_timeout_s_;
-  std::vector<Flow> flows_;
-  // Index into `flows_` of the active flow per key. Tables in the
-  // evaluation hold a few thousand flows and every packet does a lookup,
-  // so this must not degrade to a linear scan.
-  //
-  // Determinism contract: this map is only ever probed point-wise
-  // (find/erase/insert in FlowTable::add) and MUST NOT be iterated — all
-  // user-visible output flows through `flows_`, whose insertion order is
-  // the packet order. pmiot-lint's `unordered-iter` rule enforces this
-  // mechanically: iterating `active_` anywhere in this translation unit
-  // fails the `pmiot_lint.tree` ctest unless the site carries an explicit
-  // allow with a justification.
-  std::unordered_map<FlowKey, std::size_t, FlowKeyHash> active_;
-};
 
 /// Sorts packets by timestamp (generators emit per-device, merge for the
 /// gateway view).

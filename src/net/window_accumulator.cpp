@@ -31,7 +31,8 @@ obs::Counter& idle_windows_dropped_counter() {
   return c;
 }
 
-// The flow index stands in for FlowTable, so it bumps FlowTable's counters.
+// The flow index's restarts and evictions; perfbench reads
+// `net.flow_table.flow_inserts` as flows begun per packet.
 obs::Counter& flow_inserts_counter() {
   static obs::Counter& c =
       obs::MetricsRegistry::instance().counter("net.flow_table.flow_inserts");
@@ -144,8 +145,8 @@ struct WindowAccumulator::Device {
   void add_flow(const Packet& p);
   void reset() noexcept;
 
-  // Count-only stand-in for the window's FlowTable (the features read only
-  // `flows().size()`): the last timestamp of each active flow key.
+  // Count-only flow table for the window (the features read only the
+  // number of flows): the last timestamp of each active flow key.
   WindowKeyTable<FlowKey, double, FlowKeyHash> flow_last_ts;
   std::size_t flows = 0;  ///< flows begun this window, restarts included
   stats::Accumulator up_size, down_size;
@@ -159,8 +160,9 @@ struct WindowAccumulator::Device {
   std::vector<WindowRow> rows;
 };
 
-// FlowTable::add's bookkeeping, its metric counters included: a packet
-// more than the idle timeout after its flow's last one starts a new flow.
+// A packet more than the idle timeout after its flow's last one starts a
+// new flow; each flow begun bumps `net.flow_table.flow_inserts`, each
+// restart also `net.flow_table.flow_evictions`.
 void WindowAccumulator::Device::add_flow(const Packet& p) {
   const auto [flow, inserted] = flow_last_ts.find_or_insert(flow_key_of(p));
   if (inserted) {
@@ -180,8 +182,9 @@ void WindowAccumulator::Device::ingest(const Packet& p, bool up,
                                        std::size_t bucket,
                                        std::uint32_t router_ip) {
   packets_ingested_counter().add();
-  // Mirrors extract_window_features packet ingestion exactly — same
-  // operations in the same order, so finished windows match bit-for-bit.
+  // Mirrors the per-window rescan reference's packet ingestion exactly —
+  // same operations in the same order, so finished windows match it
+  // bit-for-bit.
   ++total;
   add_flow(p);
   if (p.protocol == Protocol::kUdp) ++udp;

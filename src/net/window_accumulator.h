@@ -1,8 +1,8 @@
 // Single-pass streaming feature extraction for the smart gateway.
 //
-// `extract_window_features` rescans the whole capture once per window and
-// device, an O(devices × windows × packets) pattern that cannot keep up
-// with line-rate traffic (the paper's §IV gateway fingerprints every device
+// A per-window rescan of the capture for each device is an
+// O(devices × windows × packets) pattern that cannot keep up with line-rate
+// traffic (the paper's §IV gateway fingerprints every device
 // continuously). The accumulator reads a home's capture once, in timestamp
 // order: each packet is checked once and routed, through a `DeviceSlots`
 // lookup, to the per-device state of its source and destination. That
@@ -11,11 +11,12 @@
 // buckets), is reset in place when a window closes, and yields a finished
 // feature vector per device every time a window boundary passes.
 //
-// The output is bit-for-bit identical to calling `extract_window_features`
-// for each device on each window [k·w, (k+1)·w) of the same sorted capture:
-// both paths apply the same arithmetic to the same packets in the same
-// order (the equivalence is enforced by randomized property tests in
-// net_test).
+// The output is bit-for-bit identical to the per-window rescan reference in
+// the test-support library (tests/support/net_oracles.h), called for each
+// device on each window [k·w, (k+1)·w) of the same sorted capture: both apply the same arithmetic to the same
+// packets in the same order. Randomized property tests in net_test and
+// net_shaping_test, `bench/streaming_features` and the
+// `bench/net_defense_arena --self-check` enforce the equivalence.
 #pragma once
 
 #include <cstdint>
@@ -45,8 +46,8 @@ class WindowAccumulator {
   /// `keep_idle_windows`: emit an all-zero row for windows with no device
   /// traffic instead of skipping them. Either way `WindowRow::window_index`
   /// is the wall-clock window number, so rows never silently shift.
-  /// `router_ip` mirrors `extract_window_features`: the gateway's own
-  /// address, excluded from both the LAN-peer and remote tallies.
+  /// `router_ip` is the gateway's own address, excluded from both the
+  /// LAN-peer and remote tallies.
   WindowAccumulator(std::span<const std::uint32_t> device_ips,
                     double window_s, bool keep_idle_windows = false,
                     std::uint32_t router_ip = kDefaultRouterIp);

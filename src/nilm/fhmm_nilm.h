@@ -22,9 +22,6 @@ struct FhmmNilmOptions {
   int states_per_appliance = 2;
   /// Floor on the assumed aggregate observation noise (kW).
   double min_noise_kw = 0.05;
-  /// Decoder configuration (algorithm choice) forwarded to
-  /// every `disaggregate` call. Defaults to the exact factored decoder.
-  ml::FhmmDecodeOptions decode;
 };
 
 /// Trained FHMM disaggregator for a fixed appliance set.
@@ -48,11 +45,13 @@ class FhmmNilm {
   std::size_t joint_states() const noexcept {
     return fhmm_->joint_state_count();
   }
+  /// The fitted model: the tracked chains in order, then a one-state
+  /// background chain that `disaggregate` drops from its result.
+  const ml::FactorialHmm& model() const noexcept { return *fhmm_; }
 
  private:
   std::vector<std::string> names_;
   double noise_kw_ = 0.0;
-  ml::FhmmDecodeOptions decode_options_;
   std::unique_ptr<ml::FactorialHmm> fhmm_;
 };
 

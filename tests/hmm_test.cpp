@@ -6,6 +6,7 @@
 #include "common/error.h"
 #include "ml/fhmm.h"
 #include "ml/hmm.h"
+#include "support/fhmm_oracle.h"
 
 namespace pmiot::ml {
 namespace {
@@ -297,9 +298,7 @@ TEST(FactorialHmm, FactoredMatchesNaiveOnRandomModels) {
     const auto aggregate = sample_aggregate(chains, t_max, noise, rng);
 
     FactorialHmm fhmm(chains, noise);
-    FhmmDecodeOptions naive;
-    naive.algorithm = FhmmDecodeAlgorithm::kNaiveJoint;
-    const auto reference = fhmm.decode(aggregate, naive);
+    const auto reference = oracle::decode_naive(fhmm, aggregate);
     const auto factored = fhmm.decode(aggregate);
 
     ASSERT_EQ(factored.joint_path, reference.joint_path)
@@ -328,9 +327,7 @@ TEST(FactorialHmm, TieBreaksTowardLowestJointStateLikeNaive) {
   const std::vector<double> aggregate = {1.0, 1.0, 0.0};
 
   FactorialHmm fhmm(chains, 0.1);
-  FhmmDecodeOptions naive;
-  naive.algorithm = FhmmDecodeAlgorithm::kNaiveJoint;
-  const auto reference = fhmm.decode(aggregate, naive);
+  const auto reference = oracle::decode_naive(fhmm, aggregate);
   const auto factored = fhmm.decode(aggregate);
 
   ASSERT_EQ(factored.joint_path, reference.joint_path);

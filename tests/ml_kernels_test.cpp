@@ -21,6 +21,7 @@
 #include "ml/kmeans.h"
 #include "ml/knn.h"
 #include "ml/random_forest.h"
+#include "support/tree_oracle.h"
 
 namespace pmiot::ml {
 namespace {
@@ -56,17 +57,16 @@ std::vector<int> per_row_predictions(const Classifier& model,
   return out;
 }
 
-/// Fits one tree per split algorithm from identical options/seed and
-/// requires identical structure and identical predictions on train + probe.
+/// Fits the presorted tree and the per-node-sort reference from identical
+/// options/seed and requires identical structure and identical predictions
+/// on train + probe.
 void expect_split_algorithms_equivalent(const Dataset& train,
                                         const Dataset& probe,
                                         TreeOptions options,
                                         std::uint64_t seed) {
-  options.split_algorithm = SplitAlgorithm::kPresorted;
   DecisionTree fast(options, seed);
   fast.fit(train);
-  options.split_algorithm = SplitAlgorithm::kPerNodeSort;
-  DecisionTree naive(options, seed);
+  oracle::PerNodeSortTree naive(options, seed);
   naive.fit(train);
 
   EXPECT_EQ(fast.node_count(), naive.node_count());
@@ -172,11 +172,10 @@ TEST(RandomForest, PresortedMatchesPerNodeSortForest) {
   const Dataset train = random_clusters(350, 6, 3, rng);
   const Dataset probe = random_clusters(150, 6, 3, rng);
 
-  ForestOptions options{.num_trees = 8, .tree = TreeOptions{}};
+  const ForestOptions options{.num_trees = 8, .tree = TreeOptions{}};
   RandomForest fast(options, 42);
   fast.fit(train);
-  options.tree.split_algorithm = SplitAlgorithm::kPerNodeSort;
-  RandomForest naive(options, 42);
+  oracle::PerNodeSortForest naive(options, 42);
   naive.fit(train);
 
   EXPECT_EQ(fast.predict_all(probe), naive.predict_all(probe));
@@ -406,18 +405,66 @@ TEST(Ml, SplitThresholdSeparatesAdjacentAndHugeValues) {
       data.append({lo}, 0);
       data.append({hi}, 1);
     }
-    for (const auto algorithm :
-         {SplitAlgorithm::kPresorted, SplitAlgorithm::kPerNodeSort}) {
-      DecisionTree tree(TreeOptions{.split_algorithm = algorithm}, 1);
+    auto expect_separated = [&](auto tree) {
       ASSERT_NO_THROW(tree.fit(data)) << lo << " | " << hi;
       EXPECT_EQ(tree.node_count(), 3u) << lo << " | " << hi;
       EXPECT_EQ(tree.predict(std::vector<double>{lo}), 0) << lo;
       EXPECT_EQ(tree.predict(std::vector<double>{hi}), 1) << hi;
-    }
+    };
+    expect_separated(DecisionTree(TreeOptions{}, 1));
+    expect_separated(oracle::PerNodeSortTree(TreeOptions{}, 1));
     RandomForest forest(ForestOptions{.num_trees = 5, .tree = TreeOptions{}},
                         2);
     ASSERT_NO_THROW(forest.fit(data)) << lo << " | " << hi;
   }
+}
+
+// --- Non-finite features at fit ----------------------------------------------
+
+/// NaN has no place in the sort that orders a feature, so every tree fit,
+/// the per-node-sort reference included, rejects it up front instead of
+/// sorting it (undefined behaviour) into a degenerate split. ±inf are
+/// ordinary values (SplitThresholdSeparatesAdjacentAndHugeValues).
+TEST(Ml, NanFeaturesAreRejectedAtFit) {
+  Rng rng(808);
+  const Dataset clean = random_clusters(120, 4, 3, rng);
+  for (const std::size_t row : {std::size_t{0}, std::size_t{57}}) {
+    Dataset data = clean;
+    data.rows[row][2] = std::numeric_limits<double>::quiet_NaN();
+    DecisionTree tree(TreeOptions{}, 1);
+    EXPECT_THROW(tree.fit(data), InvalidArgument) << "row " << row;
+    RandomForest forest(ForestOptions{.num_trees = 4, .tree = TreeOptions{}},
+                        2);
+    EXPECT_THROW(forest.fit(data), InvalidArgument) << "row " << row;
+    oracle::PerNodeSortTree reference(TreeOptions{}, 1);
+    EXPECT_THROW(reference.fit(data), InvalidArgument) << "row " << row;
+    oracle::PerNodeSortForest reference_forest(
+        ForestOptions{.num_trees = 4, .tree = TreeOptions{}}, 2);
+    EXPECT_THROW(reference_forest.fit(data), InvalidArgument) << "row " << row;
+  }
+  // The same data without the NaN fits, so the NaN is what is rejected.
+  DecisionTree tree(TreeOptions{}, 1);
+  EXPECT_NO_THROW(tree.fit(clean));
+}
+
+TEST(Ml, FitViewNeedsTheSortIndex) {
+  Rng rng(909);
+  const Dataset data = random_clusters(50, 3, 2, rng);
+  const std::vector<std::size_t> sample{0, 1, 1, 7, 49};
+  DatasetView view(data);
+  DecisionTree tree(TreeOptions{}, 1);
+  EXPECT_THROW(tree.fit_view(view, sample), InvalidArgument);
+  view.ensure_sort_index();
+  EXPECT_NO_THROW(tree.fit_view(view, sample));
+
+  // A view without features has nothing to sort: it fits one leaf.
+  Dataset featureless;
+  featureless.append({}, 1);
+  featureless.append({}, 1);
+  const DatasetView empty_view(featureless);
+  const std::vector<std::size_t> both{0, 1};
+  ASSERT_NO_THROW(tree.fit_view(empty_view, both));
+  EXPECT_EQ(tree.node_count(), 1u);
 }
 
 // --- kNN tie-breaking --------------------------------------------------------

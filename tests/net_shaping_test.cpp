@@ -20,9 +20,12 @@
 #include "net/features.h"
 #include "net/shaping.h"
 #include "net/window_accumulator.h"
+#include "support/net_oracles.h"
 
 namespace pmiot::net {
 namespace {
+
+using oracle::extract_window_features;
 
 bool same_packets(const std::vector<Packet>& a, const std::vector<Packet>& b) {
   if (a.size() != b.size()) return false;

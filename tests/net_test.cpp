@@ -23,9 +23,13 @@
 #include "net/packet.h"
 #include "net/window_accumulator.h"
 #include "obs/metrics.h"
+#include "support/net_oracles.h"
 
 namespace pmiot::net {
 namespace {
+
+using oracle::extract_window_features;
+using oracle::FlowTable;
 
 TEST(Ip, RoundTripAndLanCheck) {
   const auto ip = make_ip(10, 0, 0, 42);
@@ -792,9 +796,12 @@ TEST(WindowAccumulator, FlowCountAndCountersMatchFlowTable) {
         random_home(rng, roster, kDefaultRouterIp, duration_s);
 
     // The reference: one fresh FlowTable per device and window, fed that
-    // device's packets, as extract_window_features does.
+    // device's packets, as extract_window_features does. It records no
+    // metrics, so it reports its own flow and eviction counts.
     const std::size_t windows = full_window_count(duration_s, window_s);
     std::vector<std::size_t> want;
+    std::uint64_t table_inserts = 0;
+    std::uint64_t table_evictions = 0;
     const auto inserts0 = inserts.value();
     const auto evictions0 = evictions.value();
     for (const auto ip : roster) {
@@ -808,17 +815,17 @@ TEST(WindowAccumulator, FlowCountAndCountersMatchFlowTable) {
           }
         }
         want.push_back(table.flows().size());
+        table_inserts += table.flows().size();
+        table_evictions += table.evictions();
       }
     }
-    const auto table_inserts = inserts.value() - inserts0;
-    const auto table_evictions = evictions.value() - evictions0;
+    EXPECT_EQ(inserts.value(), inserts0) << "seed " << seed;
+    EXPECT_EQ(evictions.value(), evictions0) << "seed " << seed;
 
     const auto rows = windowed_features(packets, roster, duration_s,
                                         window_s, /*keep_idle_windows=*/true);
-    EXPECT_EQ(inserts.value() - inserts0 - table_inserts, table_inserts)
-        << "seed " << seed;
-    EXPECT_EQ(evictions.value() - evictions0 - table_evictions,
-              table_evictions)
+    EXPECT_EQ(inserts.value() - inserts0, table_inserts) << "seed " << seed;
+    EXPECT_EQ(evictions.value() - evictions0, table_evictions)
         << "seed " << seed;
     if (window_s > kFlowIdleTimeoutS) {
       EXPECT_GT(table_evictions, 0u) << "seed " << seed << " never timed out";

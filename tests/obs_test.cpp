@@ -13,8 +13,16 @@
 
 #include "common/error.h"
 #include "common/parallel.h"
+#include "common/rng.h"
+#include "ml/dataset.h"
+#include "ml/fhmm.h"
+#include "net/features.h"
+#include "net/packet.h"
 #include "obs/metrics.h"
 #include "obs/scoped_timer.h"
+#include "support/fhmm_oracle.h"
+#include "support/net_oracles.h"
+#include "support/tree_oracle.h"
 
 namespace pmiot {
 namespace {
@@ -216,6 +224,64 @@ TEST(Obs, ArtifactPathHonoursBenchDir) {
   ::setenv("PMIOT_BENCH_DIR", "artifacts", 1);
   EXPECT_EQ(obs::artifact_path("BENCH_y.json"), "artifacts/BENCH_y.json");
   ::unsetenv("PMIOT_BENCH_DIR");
+}
+
+/// The reference implementations in tests/support run next to measured
+/// passes (self-checks, property tests), so they must not add to the
+/// registry: a full snapshot, timers and worker shards included, is the
+/// same before and after each of them. The streaming feature pass on the
+/// same capture does record, so the snapshot would show a leak.
+TEST(Obs, SupportOraclesRecordNoMetrics) {
+  MetricsOn on;
+  const obs::SnapshotOptions all{.include_nondeterministic = true};
+  auto full_text = [&] { return obs::to_text(registry().snapshot(all)); };
+
+  Rng rng(17);
+  ml::Dataset data;
+  for (int i = 0; i < 60; ++i) {
+    const int label = static_cast<int>(rng.uniform_int(0, 2));
+    data.append({rng.normal(static_cast<double>(label), 1.0), rng.normal(0.0, 1.0),
+                 rng.uniform(0.0, 3.0)},
+                label);
+  }
+  ml::ApplianceChain chain;
+  chain.name = "a";
+  chain.state_power = {0.0, 1.0};
+  chain.initial = {0.5, 0.5};
+  chain.transition = {{0.9, 0.1}, {0.2, 0.8}};
+  const ml::FactorialHmm fhmm({chain, chain}, 0.2);
+  const std::vector<double> aggregate = {0.1, 1.1, 2.0, 0.9, 0.0};
+  const auto dev = net::make_ip(10, 0, 0, 10);
+  const auto cloud = net::make_ip(52, 20, 0, 1);
+  // Three flows, silent for 210 s halfway through: past the idle timeout.
+  std::vector<net::Packet> packets;
+  for (int i = 0; i < 40; ++i) {
+    const double t = 10.0 * i + (i >= 20 ? 200.0 : 0.0);
+    packets.push_back(net::Packet{t, dev, cloud,
+                                  static_cast<std::uint16_t>(40000 + i % 3),
+                                  443, net::Protocol::kTcp, 100 + i});
+  }
+
+  const std::string before = full_text();
+  oracle::PerNodeSortTree tree(ml::TreeOptions{}, 3);
+  tree.fit(data);
+  EXPECT_EQ(full_text(), before) << "PerNodeSortTree::fit";
+  oracle::PerNodeSortForest forest(
+      ml::ForestOptions{.num_trees = 3, .tree = ml::TreeOptions{}}, 3);
+  forest.fit(data);
+  EXPECT_EQ(full_text(), before) << "PerNodeSortForest::fit";
+  EXPECT_EQ(oracle::decode_naive(fhmm, aggregate).joint_path.size(),
+            aggregate.size());
+  EXPECT_EQ(full_text(), before) << "decode_naive";
+  oracle::FlowTable table;
+  for (const auto& p : packets) table.add(p);
+  EXPECT_GT(table.evictions(), 0u);
+  EXPECT_EQ(full_text(), before) << "FlowTable::add";
+  EXPECT_GT(oracle::extract_window_features(packets, dev, 0.0, 600.0)[0], 0.0);
+  EXPECT_EQ(full_text(), before) << "extract_window_features";
+
+  net::windowed_features(packets, dev, 600.0, 100.0);
+  EXPECT_NE(full_text(), before) << "the streaming pass should record";
 }
 
 }  // namespace
